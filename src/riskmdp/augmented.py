@@ -16,15 +16,23 @@ stage n the decision reads f*(x_n, accumulated reward - eta*, beta^n).
 
 Numerics: y lives on a uniform grid with linear interpolation (monotone,
 order-preserving); z is exact because it only takes the values beta^n up to a
-truncation level N with beta^N d/(1-beta) below the tail budget.  Value
-iteration runs simultaneously from the pointwise bounds
+truncation level N with beta^N d/(1-beta) below the tail budget.  Level n
+reads only level n+1, and level N reads the terminal u(y'), so the table is
+computed exactly by one backward pass from level N down to level 0
+(:func:`backward_pass`).  The remaining error is the reported tail +
+interpolation budget.
+
+The sandwich iteration is kept as the verification path
+(:func:`solve_sandwich`): value iteration runs simultaneously from the
+pointwise bounds
 
     lower(y, z) = u(y)                 (zero future reward),
     upper(y, z) = u(z d/(1-beta) + y)  (maximal future reward),
 
-which are monotone from below / above and meet after N+1 sweeps because the
-dependency chain strictly descends through the z levels.  The remaining error
-is the reported tail + interpolation budget, never the sandwich width.
+which are monotone from below / above and meet after N+1 sweeps.  Both paths
+update a level with the same :func:`augmented_level`, so the converged
+sandwich equals the backward pass bitwise; the pass checks instead that its
+table lies between the two bounds.
 
 For the entropic utility the y coordinate drops out entirely:
 
@@ -112,42 +120,81 @@ def bound_upper(m, spec, grid):
     return out
 
 
-def augmented_T(m, spec, grid, V, want_argmax=False):
-    """One synchronous sweep of the extended-space Bellman operator.
+def augmented_level(m, spec, grid, n, next_level):
+    """Level n of the extended-space Bellman operator: values and argmax.
 
-    Level n reads level n+1 (z-shift exact, y-shift by linear interpolation);
-    the deepest level reads the terminal continuation u(y'), i.e. future
+    Level n reads only ``next_level``, the (state, y) table of level n+1
+    (z-shift exact, y-shift by linear interpolation).  ``None`` marks the
+    deepest level, which reads the terminal continuation u(y'), i.e. future
     reward zero, consistent with the lower bound.  y arguments beyond the grid
     top are clamped to the top value, which preserves monotonicity and never
     affects points reachable from (x0, -eta, 1) with eta in [0, eta_max].
     """
-    n_levels, ns, ny = V.shape
+    ny = grid.y.size
+    z = grid.z(n)
+    values = np.empty((m.n_states, ny))
+    argmax = np.zeros((m.n_states, ny), dtype=np.int16)
+    for si in range(m.n_states):
+        best = np.full(ny, -np.inf)
+        best_a = np.zeros(ny, dtype=np.int16)
+        for a in m.admissible[m.states[si]]:
+            ai = m.action_index[a]
+            y2 = grid.y + z * m.reward[si, ai]
+            if next_level is None:
+                val = np.asarray(spec.u(y2), dtype=float)
+            else:
+                row = m.kernel[si, ai]
+                val = np.zeros(ny)
+                for xi in np.flatnonzero(row):
+                    val += row[xi] * np.interp(y2, grid.y, next_level[xi])
+            better = val > best
+            best = np.where(better, val, best)
+            best_a = np.where(better, np.int16(ai), best_a)
+        values[si] = best
+        argmax[si] = best_a
+    return values, argmax
+
+
+def augmented_T(m, spec, grid, V, want_argmax=False):
+    """One synchronous sweep of the extended-space Bellman operator.
+
+    Every level is updated from the input table ``V`` by
+    :func:`augmented_level`; the deepest level reads the terminal u(y').
+    """
+    n_levels = V.shape[0]
     out = np.empty_like(V)
     argmax = np.zeros(V.shape, dtype=np.int16) if want_argmax else None
     for n in range(n_levels):
-        z = grid.z(n)
-        terminal = n == n_levels - 1
-        for si in range(ns):
-            best = np.full(ny, -np.inf)
-            best_a = np.zeros(ny, dtype=np.int16)
-            for a in m.admissible[m.states[si]]:
-                ai = m.action_index[a]
-                y2 = grid.y + z * m.reward[si, ai]
-                if terminal:
-                    val = np.asarray(spec.u(y2), dtype=float)
-                else:
-                    row = m.kernel[si, ai]
-                    val = np.zeros(ny)
-                    for xi in np.flatnonzero(row):
-                        val += row[xi] * np.interp(y2, grid.y, V[n + 1, xi])
-                better = val > best
-                best = np.where(better, val, best)
-                if want_argmax:
-                    best_a = np.where(better, np.int16(ai), best_a)
-            out[n, si] = best
-            if want_argmax:
-                argmax[n, si] = best_a
-    return (out, argmax) if want_argmax else (out, None)
+        nxt = V[n + 1] if n < n_levels - 1 else None
+        out[n], level_argmax = augmented_level(m, spec, grid, n, nxt)
+        if want_argmax:
+            argmax[n] = level_argmax
+    return out, argmax
+
+
+def backward_pass(m, spec, grid):
+    """Exact extended-space table by one pass from level n_trunc down to 0.
+
+    Returns ``(table, argmax, within_bounds)``.  Each level is computed once
+    from the finished level below it, with the same :func:`augmented_level`
+    the sandwich sweeps use, so the result equals the converged sandwich
+    bitwise.  ``within_bounds`` checks lower <= table <= upper (the bounds of
+    :func:`bound_lower` / :func:`bound_upper`) up to 1e-9 at every cell,
+    which is what the sandwich's monotone envelopes imply.
+    """
+    m.require_valid()
+    table = np.empty((grid.n_levels, m.n_states, grid.y.size))
+    argmax = np.empty(table.shape, dtype=np.int16)
+    lower = np.asarray(spec.u(grid.y), dtype=float)
+    top = m.reward_bound / (1.0 - grid.beta)
+    within_bounds = True
+    for n in range(grid.n_trunc, -1, -1):
+        nxt = table[n + 1] if n < grid.n_trunc else None
+        table[n], argmax[n] = augmented_level(m, spec, grid, n, nxt)
+        upper = spec.u(grid.z(n) * top + grid.y)
+        if np.any(table[n] < lower - 1e-9) or np.any(table[n] > upper + 1e-9):
+            within_bounds = False
+    return table, argmax, within_bounds
 
 
 @dataclass
@@ -326,7 +373,7 @@ def _realize_stage_policy(m, grid, argmax, x0_idx, eta_star):
 
 def solve_total_oce(m, spec, grid=None, x0=None, eta_step=None,
                     estimate_interp_error=False):
-    """Full two-level solve: sandwich DP once, then the scalar eta search.
+    """Full two-level solve: one backward pass, then the scalar eta search.
 
     The extended-space table does not depend on eta (eta only selects where it
     is read), so one DP serves the whole search and every initial state.
@@ -337,33 +384,33 @@ def solve_total_oce(m, spec, grid=None, x0=None, eta_step=None,
     x0 = m.states[0] if x0 is None else x0
     if x0 not in m.state_index:
         raise ParameterError(f"unknown initial state {x0!r}")
-    sol = solve_sandwich(m, spec, grid, width_tol=0.0)
+    table, argmax, within_bounds = backward_pass(m, spec, grid)
     eta_max = float(-grid.y[0])
     step = grid.y_step if eta_step is None else float(eta_step)
     values = {}
     etas = {}
     for si, s in enumerate(m.states):
-        e, v = _eta_search(grid, sol.table[0, si], eta_max, step)
+        e, v = _eta_search(grid, table[0, si], eta_max, step)
         values[s] = v
         etas[s] = e
     x0_idx = m.state_index[x0]
-    stage_policy = _realize_stage_policy(m, grid, sol.argmax, x0_idx, etas[x0])
+    stage_policy = _realize_stage_policy(m, grid, argmax, x0_idx, etas[x0])
     tail = m.reward_bound / (1.0 - m.discount) if m.discount > 0 else 0.0
     tail_error = (m.discount ** (grid.n_trunc + 1)) * tail
     interp_est = None
     if estimate_interp_error:
         coarse = default_grid(m, y_step=2.0 * grid.y_step, tail_eps=grid.tail_eps,
                               eta_max=eta_max, n_trunc=grid.n_trunc)
-        csol = solve_sandwich(m, spec, coarse, width_tol=0.0)
-        _, cv = _eta_search(coarse, csol.table[0, x0_idx], eta_max, 2.0 * step)
+        ctable, _, _ = backward_pass(m, spec, coarse)
+        _, cv = _eta_search(coarse, ctable[0, x0_idx], eta_max, 2.0 * step)
         interp_est = abs(values[x0] - cv)
     return TotalOceSolution(
-        model=m, spec=spec, grid=grid, table=sol.table, argmax=sol.argmax,
+        model=m, spec=spec, grid=grid, table=table, argmax=argmax,
         x0=x0, value=values[x0], eta_star=etas[x0],
         values_by_state=values, etas_by_state=etas,
         stage_policy=stage_policy,
-        sandwich_width=sol.widths[-1], sweeps=sol.sweeps,
-        monotone_ok=sol.monotone_ok, tail_error=tail_error,
+        sandwich_width=0.0, sweeps=grid.n_levels,
+        monotone_ok=within_bounds, tail_error=tail_error,
         interp_error_estimate=interp_est,
     )
 

@@ -140,14 +140,19 @@ class FiniteMdp:
                 if a in seen:
                     out.append(f"admissible[{s}]: duplicate action {a}")
                 seen.add(a)
+        totals = self.kernel.sum(axis=2)
+        # NaN compares False everywhere, so the sum test alone lets it pass
+        finite = np.isfinite(self.kernel).all(axis=2)
+        negative = (self.kernel < 0.0).any(axis=2)
         for si, s in enumerate(self.states):
             for a in self.admissible[s]:
                 ai = self.action_index[a]
-                row = self.kernel[si, ai]
-                total = row.sum()
-                if abs(total - 1.0) > _ROW_TOL:
+                total = totals[si, ai]
+                if not finite[si, ai]:
+                    out.append(f"transitions[{s}][{a}]: probabilities must be finite")
+                elif abs(total - 1.0) > _ROW_TOL:
                     out.append(f"transitions[{s}][{a}]: row sums to {total!r}, expected 1")
-                if np.any(row < 0.0):
+                if negative[si, ai]:
                     out.append(f"transitions[{s}][{a}]: negative probability")
                 r = self.reward[si, ai]
                 if not math.isfinite(r) or r < 0.0:
@@ -325,11 +330,15 @@ def induced_chain(m, policy):
 
 
 def _reachability(P):
-    """Boolean closure: reach[i, j] iff j is reachable from i in >= 1 steps."""
-    adj = P > 0.0
-    reach = adj.copy()
+    """Boolean closure: reach[i, j] iff j is reachable from i in >= 1 steps.
+
+    Squaring doubles the covered path length each round, so after k rounds
+    every path of 1..2^k steps is included; ceil(log2 S) + 1 rounds cover
+    the S steps any shortest walk needs.
+    """
+    reach = P > 0.0
     for _ in range(int(math.ceil(math.log2(max(P.shape[0], 2)))) + 1):
-        reach = reach | (reach @ adj)
+        reach = reach | (reach @ reach)
     return reach
 
 

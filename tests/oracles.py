@@ -161,3 +161,22 @@ def tree_expected_utility(m, action_of, eta, u, depth, x0=None, scalar_levels=6)
         for succ in np.flatnonzero(row):
             stack.append((n + 1, int(succ), y2, p * float(row[succ])))
     return total
+
+
+def bfs_reachability(adj):
+    """reach[i, j] iff j is reachable from i in >= 1 steps, by BFS per start."""
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[0]
+    reach = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        frontier = list(np.flatnonzero(adj[i]))
+        reach[i, frontier] = True
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in np.flatnonzero(adj[u]):
+                    if not reach[i, v]:
+                        reach[i, v] = True
+                        nxt.append(v)
+            frontier = nxt
+    return reach

@@ -6,6 +6,7 @@ import pytest
 from riskmdp import fixtures
 from riskmdp.augmented import (
     augmented_T,
+    backward_pass,
     bound_lower,
     bound_upper,
     default_grid,
@@ -136,6 +137,47 @@ class TestSandwich:
             assert inner.value == pytest.approx(float(spec.u(total - eta)), abs=5e-3)
             assert inner.width == 0.0
             assert inner.monotone_ok
+
+
+PASS_SPECS = [
+    UtilitySpec.entropic(0.5),
+    UtilitySpec.cvar(0.3),
+    UtilitySpec.mean_variance(),
+    UtilitySpec.piecewise_linear([(-1.0, -2.5), (0.0, 0.0), (0.5, 0.5), (2.0, 1.1)]),
+]
+
+
+class TestBackwardPass:
+    @pytest.mark.parametrize("spec", PASS_SPECS, ids=lambda spec: spec.kind)
+    def test_equals_converged_sandwich(self, spec, jaquette):
+        # both paths run the same level kernel in the same order, so the
+        # table and the argmax agree bitwise, not just within a tolerance
+        rng = np.random.default_rng(37)
+        models = [jaquette,
+                  random_mdp(rng, n_states=3, n_actions=2, beta=0.5, reward_scale=1.0),
+                  random_mdp(rng, n_states=4, n_actions=3, beta=0.3, reward_scale=1.0,
+                             full_admissible=False)]
+        for m in models:
+            grid = default_grid(m)
+            sand = solve_sandwich(m, spec, grid)
+            table, argmax, within_bounds = backward_pass(m, spec, grid)
+            assert sand.converged and sand.sweeps == grid.n_levels
+            assert np.array_equal(table, sand.table)
+            assert np.array_equal(argmax, sand.argmax)
+            assert within_bounds and sand.monotone_ok
+
+    def test_beta_zero_reports_every_level(self):
+        # the sandwich stops after one sweep because its envelopes already
+        # agree on the deepest level; the pass still computes both levels
+        m = one_state_machine(beta=0.0, reward=0.75)
+        spec = UtilitySpec.cvar(0.4)
+        sol = solve_total_oce(m, spec)
+        sand = solve_sandwich(m, spec, sol.grid)
+        assert sand.sweeps == 1
+        assert sol.sweeps == 2
+        assert sol.report().iterations == 2
+        assert np.array_equal(sol.table, sand.table)
+        assert np.array_equal(sol.argmax, sand.argmax)
 
 
 class TestEntropicTotal:

@@ -21,6 +21,15 @@ def invariant_path(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def nan_model_path(tmp_path, model_path):
+    obj = json.load(open(model_path))
+    obj["transitions"]["1"]["b1"]["2"] = float("nan")
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -39,6 +48,11 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         code, out, _ = run(capsys, ["validate", "--model", str(bad)])
+        assert code == 1
+        assert "transitions[1][b1]" in out
+
+    def test_nan_probability(self, capsys, nan_model_path):
+        code, out, _ = run(capsys, ["validate", "--model", nan_model_path])
         assert code == 1
         assert "transitions[1][b1]" in out
 
@@ -81,6 +95,23 @@ class TestSolve:
         rep = json.loads(out)
         assert code == 0
         assert "eta_star" in rep and "sandwich_width" in rep and "n_trunc" in rep
+
+    def test_nan_model_rejected_before_solving(self, capsys, nan_model_path):
+        code, _, err = run(capsys, ["solve", "--model", nan_model_path,
+                                    "--criterion", "risk_neutral"])
+        assert code == 1
+        assert "transitions[1][b1]" in err
+
+    def test_total_mean_variance_inventory(self, capsys, tmp_path):
+        p = tmp_path / "inventory_toy.json"
+        save(fixtures.inventory_toy(), p)
+        code, out, _ = run(capsys, ["solve", "--model", str(p),
+                                    "--criterion", "total_oce",
+                                    "--utility", '{"type":"mean_variance"}'])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["iterations"] == rep["n_trunc"] + 1
+        assert rep["sandwich_width"] == 0.0
 
     def test_ergodic(self, capsys, invariant_path):
         code, out, _ = run(capsys, ["solve", "--model", invariant_path,

@@ -127,6 +127,27 @@ class TestPreconditions:
         with pytest.raises(ChainStructureError):
             ergodic_policy_value(m, enumerate_policies(m)[0], 1.0)
 
+    def test_long_ring_chain_accepted(self):
+        # every policy's chain is one 12-cycle with self-loops: irreducible
+        # and aperiodic, with a diameter longer than log2 of the state count
+        rng = np.random.default_rng(43)
+        n = 12
+        states = [f"s{i}" for i in range(n)]
+        transitions, rewards, costs = {}, {}, {}
+        for i, s in enumerate(states):
+            transitions[s], rewards[s], costs[s] = {}, {}, {}
+            for a in ("a", "b"):
+                stay = float(rng.uniform(0.2, 0.8))
+                transitions[s][a] = {s: stay, states[(i + 1) % n]: 1.0 - stay}
+                rewards[s][a] = 0.0
+                costs[s][a] = float(rng.random())
+        m = FiniteMdp(states=states, actions=["a", "b"],
+                      admissible={s: ["a", "b"] for s in states},
+                      transitions=transitions, rewards=rewards, costs=costs,
+                      discount=0.5)
+        sol = ergodic_rvi(m, 1.0, tol=1e-10)
+        assert m.cost.min() <= sol.xi <= m.cost.max()
+
     def test_periodic_chain_still_solved(self):
         # two-cycle: damping makes the power iteration settle
         m = FiniteMdp(

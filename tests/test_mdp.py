@@ -13,6 +13,7 @@ from riskmdp.errors import (
 from riskmdp.mdp import (
     FiniteMdp,
     StationaryPolicy,
+    _reachability,
     analyze_chain,
     check_unichain_aperiodic,
     enumerate_policies,
@@ -22,6 +23,7 @@ from riskmdp.mdp import (
 )
 
 from conftest import random_mdp
+from oracles import bfs_reachability
 
 
 class TestValidate:
@@ -211,6 +213,22 @@ class TestChainStructure:
         chk = check_unichain_aperiodic(m, cap=1000, sample=16, seed=2)
         assert not chk.exhaustive
         assert len(chk.reports) == 16
+
+
+class TestReachability:
+    def test_long_ring_reaches_every_state(self):
+        # diameter 11 is longer than the ceil(log2 12) + 2 = 6 steps that
+        # adding one step per round covers; squaring covers 2^5 = 32
+        n = 12
+        P = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+        assert _reachability(P).all()
+
+    def test_matches_bfs_closure(self):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            n = int(rng.integers(1, 25))
+            P = (rng.random((n, n)) < rng.uniform(0.02, 0.3)).astype(float)
+            assert np.array_equal(_reachability(P), bfs_reachability(P > 0.0))
 
 
 class TestPolicies:
