@@ -38,7 +38,8 @@ For the entropic utility the y coordinate drops out entirely:
 
     V(x, z) = max_a { z r(x,a) - (1/gamma) ln sum_x' q(x'|x,a) e^{-gamma V(x', z beta)} },
 
-an exact backward recursion over the z levels (:func:`entropic_total`).
+an exact backward recursion over the z levels (:func:`entropic_total`), whose
+level step is the entropic successor-risk layer of the recursive criterion.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ParameterError
 from .mdp import StagePolicy, StationaryPolicy, value_dict
-from .recursive import _check_gamma_range
+from .oce import UtilitySpec
+from .recursive import _check_gamma_range, successor_risk
 from .report import SolveReport
 
 
@@ -503,7 +504,7 @@ def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
             n_trunc = max(1, math.ceil(math.log(tail_eps * (1.0 - beta) / max(d, 1e-300))
                                        / math.log(beta)))
     ns = m.n_states
-    logq = np.where(m.kernel > 0.0, np.log(np.where(m.kernel > 0.0, m.kernel, 1.0)), -np.inf)
+    spec = UtilitySpec.entropic(gamma)
     values = np.zeros((n_trunc + 1, ns))
     level_argmax = np.zeros((n_trunc + 1, ns), dtype=np.int16)
 
@@ -515,8 +516,8 @@ def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
 
     for n in range(n_trunc - 1, -1, -1):
         z = beta ** n
-        risk = -logsumexp(logq - gamma * values[n + 1][None, None, :], axis=2) / gamma
-        q = np.where(m.admissible_mask, z * m.reward + risk, -np.inf)
+        q = np.where(m.admissible_mask, z * m.reward + successor_risk(m, spec, values[n + 1]),
+                     -np.inf)
         values[n] = q.max(axis=1)
         level_argmax[n] = np.argmax(q, axis=1)
 

@@ -29,6 +29,7 @@ from scipy.special import logsumexp
 
 from .errors import (
     ChainStructureError,
+    EnumerationCapError,
     IterationLimitError,
     ParameterError,
 )
@@ -67,7 +68,7 @@ def _precheck(m, mode, cap, sample, seed):
     if mode == "full":
         try:
             chk = check_unichain_aperiodic(m, cap=cap)
-        except Exception:
+        except EnumerationCapError:
             chk = check_unichain_aperiodic(m, sample=sample, seed=seed)
     else:
         chk = check_unichain_aperiodic(m, sample=sample, seed=seed)

@@ -13,6 +13,7 @@ than shifted (shift additivity of the criteria is the caller-side remedy).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -74,6 +75,8 @@ class FiniteMdp:
                 for y, p in dist.items():
                     yi = self._sidx(y, f"/transitions/{s}/{a}")
                     self.kernel[si, ai, yi] = float(p)
+        # read-only, so the cached log_kernel cannot go stale
+        self.kernel.flags.writeable = False
 
         self.reward = np.zeros((ns, na))
         for s, row in rewards.items():
@@ -108,6 +111,12 @@ class FiniteMdp:
     @property
     def n_actions(self):
         return len(self.actions)
+
+    @functools.cached_property
+    def log_kernel(self):
+        """log q(y|x,a), -inf where q = 0, computed once per model."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.kernel)
 
     @property
     def reward_bound(self):

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainStructureError, IterationLimitError, ParameterError
+from .errors import (
+    ChainStructureError,
+    EnumerationCapError,
+    IterationLimitError,
+    ParameterError,
+)
 from .mdp import (
     StationaryPolicy,
     check_unichain_aperiodic,
@@ -227,7 +232,7 @@ def _average_rvi(m, table, minimize, tol, reference_state, damping, max_iters,
     if check_unichain:
         try:
             chk = check_unichain_aperiodic(m, cap=unichain_cap)
-        except Exception:
+        except EnumerationCapError:
             chk = check_unichain_aperiodic(m, sample=64)
         bad = chk.first_reducible()
         if bad is not None:
@@ -347,7 +352,7 @@ def vanishing_discount(m, betas, reference_state=None, policy_cap=4096):
     diagnostics = []
     try:
         policies = enumerate_policies(m, cap=policy_cap)
-    except Exception:
+    except EnumerationCapError:
         policies = []
     for f in policies:
         gain = policy_gain(m, f)

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from riskmdp import mdp
 from riskmdp.augmented import entropic_total, solve_total_oce
+from riskmdp.ergodic import ergodic_rvi
 from riskmdp.errors import ParameterError
 from riskmdp.mdp import FiniteMdp, enumerate_policies
-from riskmdp.neutral import policy_iteration, value_iteration
+from riskmdp.neutral import average_reward_rvi, policy_iteration, value_iteration, vanishing_discount
 from riskmdp.oce import UtilitySpec
 from riskmdp.recursive import entropic_fast_path, solve_recursive
 from riskmdp.simulate import rollout
+
+from conftest import random_mdp
 
 
 def myopic_model():
@@ -87,3 +91,22 @@ class TestBadInputs:
             entropic_fast_path(m, 1e305)
         with pytest.raises(ParameterError):
             entropic_total(m, 1e305)
+
+
+@pytest.mark.parametrize("target, solve", [
+    ("riskmdp.ergodic.check_unichain_aperiodic", lambda m: ergodic_rvi(m, 1.0)),
+    ("riskmdp.neutral.check_unichain_aperiodic", average_reward_rvi),
+    ("riskmdp.neutral.enumerate_policies", lambda m: vanishing_discount(m, [0.9])),
+])
+def test_only_a_cap_overflow_falls_back(monkeypatch, target, solve):
+    # the exhaustive precheck / enumeration fails with an error that is not
+    # EnumerationCapError; the sampled fallback must not hide it
+    def exhaustive_fails(m, cap=None, sample=None, seed=0):
+        if sample is None:
+            raise RuntimeError("not a cap overflow")
+        return mdp.check_unichain_aperiodic(m, sample=sample, seed=seed)
+
+    monkeypatch.setattr(target, exhaustive_fails)
+    m = random_mdp(np.random.default_rng(5), n_states=3, with_costs=True)
+    with pytest.raises(RuntimeError, match="not a cap overflow"):
+        solve(m)

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskmdp import fixtures
-from riskmdp.mdp import StagePolicy
+from riskmdp.errors import IterationLimitError, ParameterError
+from riskmdp.mdp import FiniteMdp, StagePolicy
 from riskmdp.neutral import bellman_T, value_iteration
 from riskmdp.oce import UtilitySpec
 from riskmdp.recursive import (
+    _iterate,
     entropic_fast_path,
     n_stage_value,
+    oce,
     policy_evaluation_recursive,
+    push_forward,
     recursive_bellman_L,
     solve_recursive,
+    successor_risk,
 )
 
 from conftest import random_mdp
@@ -252,3 +258,141 @@ class TestStagewise:
                                           tol=1e-10)
         for s in jaquette.states:
             assert val[s] == pytest.approx(rep.value[s], abs=1e-8)
+
+
+def per_row_sweep(m, spec, v):
+    """The nested-risk sweep one (state, action) row at a time through oce()."""
+    out = np.empty(m.n_states)
+    choice = {}
+    for si, s in enumerate(m.states):
+        vals = [m.reward[si, m.action_index[a]]
+                + m.discount * oce(push_forward(m, si, m.action_index[a], v), spec).value
+                for a in m.admissible[s]]
+        k = int(np.argmax(vals))
+        out[si] = vals[k]
+        choice[s] = m.admissible[s][k]
+    return out, choice
+
+
+def concave_pwl(draw, scale):
+    """Concave piecewise-linear utility with kinks at +-scale-sized offsets.
+
+    Slopes a >= b >= 1 >= c >= d >= 0 around 0 keep u'_-(0) >= 1 >= u'_+(0).
+    """
+    t1, t2 = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2, unique=True)))
+    r1, r2 = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2, unique=True)))
+    b = draw(st.floats(1.0, 3.0))
+    a = b + draw(st.floats(0.0, 2.0))
+    c = draw(st.floats(0.0, 1.0))
+    d = c * draw(st.floats(0.0, 1.0))
+    tl1, tl2, tr1, tr2 = -t1 * scale, -t2 * scale, r1 * scale, r2 * scale
+    return UtilitySpec.piecewise_linear([
+        (tl2, b * tl1 + a * (tl2 - tl1)), (tl1, b * tl1), (0.0, 0.0),
+        (tr1, c * tr1), (tr2, c * tr1 + d * (tr2 - tr1))])
+
+
+@st.composite
+def layer_cases(draw):
+    """A small model, a value vector with ties, and a utility of any kind.
+
+    Rows mix point masses (one positive weight), explicit zeros and
+    inadmissible actions; v is a coarse grid at one of several scales, so
+    mean-variance sees max X both below and above 1 + E X.
+    """
+    n_states = draw(st.integers(1, 6))
+    n_actions = draw(st.integers(1, 3))
+    states = [f"s{i}" for i in range(n_states)]
+    actions = [f"a{j}" for j in range(n_actions)]
+    admissible, transitions = {}, {}
+    for s in states:
+        acts = [a for j, a in enumerate(actions) if j == 0 or draw(st.booleans())]
+        admissible[s] = acts
+        transitions[s] = {}
+        for a in acts:
+            w = draw(st.lists(st.integers(0, 3), min_size=n_states, max_size=n_states))
+            if not any(w):
+                w[draw(st.integers(0, n_states - 1))] = 1
+            transitions[s][a] = {y: wi / sum(w) for y, wi in zip(states, w) if wi}
+    m = FiniteMdp(states=states, actions=actions, admissible=admissible,
+                  transitions=transitions,
+                  rewards={s: {a: 0.0 for a in admissible[s]} for s in states},
+                  discount=0.9)
+    scale = draw(st.sampled_from([0.2, 1.0, 4.0, 20.0]))
+    v = scale / 4.0 * np.array(draw(st.lists(st.integers(0, 4), min_size=n_states,
+                                             max_size=n_states)), dtype=float)
+    kind = draw(st.sampled_from(["entropic", "cvar", "mean_variance", "piecewise_linear"]))
+    if kind == "entropic":
+        spec = UtilitySpec.entropic(draw(st.floats(0.05, 3.0)))
+    elif kind == "cvar":
+        spec = UtilitySpec.cvar(draw(st.floats(0.01, 0.99)))
+    elif kind == "mean_variance":
+        spec = UtilitySpec.mean_variance()
+    else:
+        spec = concave_pwl(draw, scale)
+    return m, v, spec
+
+
+class TestSuccessorRisk:
+    @settings(max_examples=300, deadline=None)
+    @given(layer_cases())
+    def test_matches_per_row_oce(self, case):
+        m, v, spec = case
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            risk = successor_risk(m, spec, v)
+        assert risk.shape == (m.n_states, m.n_actions)
+        tol = 1e-12 * (1.0 + np.max(np.abs(v)))
+        for si, s in enumerate(m.states):
+            for ai, a in enumerate(m.actions):
+                if a in m.admissible[s]:
+                    want = oce(push_forward(m, si, ai, v), spec).value
+                    assert abs(risk[si, ai] - want) <= tol, (s, a, risk[si, ai], want)
+                else:
+                    assert risk[si, ai] == 0.0
+
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_bellman_argmax_matches_per_row_loop_on_fixtures(self, name):
+        m = fixtures.FIXTURES[name]()
+        for spec in KINDS:
+            v = np.zeros(m.n_states)
+            for _ in range(25):
+                want_v, want_choice = per_row_sweep(m, spec, v)
+                got_v, got_policy = recursive_bellman_L(m, spec, v)
+                assert got_policy.choice == want_choice
+                assert np.max(np.abs(got_v - want_v)) <= 1e-12 * (1.0 + np.max(np.abs(v)))
+                v = want_v
+
+
+class TestSweepBudget:
+    def test_non_contracting_sweep_raises_within_budget(self, jaquette):
+        # beta = 0.5 and a first change of 1 reach the stop level 1e-9 within
+        # 1 + ceil(log2(1e9)) = 31 sweeps if the sweep contracts; this one
+        # doubles its change every sweep
+        calls = []
+
+        def sweep(v):
+            calls.append(1)
+            return 2.0 * v + 1.0, None
+
+        with pytest.raises(IterationLimitError):
+            _iterate(jaquette, sweep, 1e-9)
+        assert 31 < len(calls) <= 31 + 10
+
+    def test_non_finite_sweep_raises_at_once(self, jaquette):
+        calls = []
+
+        def sweep(v):
+            calls.append(1)
+            return v + np.nan, None
+
+        with pytest.raises(IterationLimitError):
+            _iterate(jaquette, sweep, 1e-9)
+        assert len(calls) == 1
+
+    def test_explicit_max_iters_caps_the_budget(self, jaquette):
+        with pytest.raises(IterationLimitError):
+            solve_recursive(jaquette, UtilitySpec.cvar(0.3), tol=1e-9, max_iters=3)
+        assert solve_recursive(jaquette, UtilitySpec.cvar(0.3), tol=1e-9).iterations > 3
+
+    def test_tolerance_must_be_positive(self, jaquette):
+        with pytest.raises(ParameterError):
+            solve_recursive(jaquette, UtilitySpec.cvar(0.3), tol=0.0)
