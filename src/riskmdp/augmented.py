@@ -83,6 +83,18 @@ class AugmentedGrid:
         return i, abs(float(self.y[i]) - float(value))
 
 
+def _truncation_depth(beta, d, tail_eps):
+    """Smallest level N >= 1 with beta^N d / (1 - beta) <= tail_eps (1 at beta = 0)."""
+    if beta == 0.0:
+        return 1
+    return max(1, math.ceil(math.log(tail_eps * (1.0 - beta) / max(d, 1e-300)) / math.log(beta)))
+
+
+def _tail_error(beta, d, n_trunc):
+    """beta^(N+1) d / (1 - beta): what the levels past N can add to the value."""
+    return (beta ** (n_trunc + 1)) * (d / (1.0 - beta) if beta > 0 else 0.0)
+
+
 def default_grid(m, y_step=None, tail_eps=1e-8, eta_max=None, n_trunc=None):
     """Grid sized from the model: covers every (y, z) reachable from (-eta, 1)."""
     beta = m.discount
@@ -94,11 +106,7 @@ def default_grid(m, y_step=None, tail_eps=1e-8, eta_max=None, n_trunc=None):
     eta_max = top if eta_max is None else float(eta_max)
     step = top / 400.0 if y_step is None else float(y_step)
     if n_trunc is None:
-        if beta == 0.0:
-            n_trunc = 1
-        else:
-            n_trunc = max(1, math.ceil(math.log(tail_eps * (1.0 - beta) / max(m.reward_bound, 1e-300))
-                                       / math.log(beta)))
+        n_trunc = _truncation_depth(beta, m.reward_bound, tail_eps)
     # ceil so the last point reaches the accumulation bound even when the
     # step does not divide the range
     n_pts = int(math.ceil((top + eta_max) / step - 1e-9)) + 1
@@ -396,8 +404,7 @@ def solve_total_oce(m, spec, grid=None, x0=None, eta_step=None,
         etas[s] = e
     x0_idx = m.state_index[x0]
     stage_policy = _realize_stage_policy(m, grid, argmax, x0_idx, etas[x0])
-    tail = m.reward_bound / (1.0 - m.discount) if m.discount > 0 else 0.0
-    tail_error = (m.discount ** (grid.n_trunc + 1)) * tail
+    tail_error = _tail_error(m.discount, m.reward_bound, grid.n_trunc)
     interp_est = None
     if estimate_interp_error:
         coarse = default_grid(m, y_step=2.0 * grid.y_step, tail_eps=grid.tail_eps,
@@ -498,11 +505,7 @@ def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
     beta = m.discount
     d = m.reward_bound
     if n_trunc is None:
-        if beta == 0.0:
-            n_trunc = 1
-        else:
-            n_trunc = max(1, math.ceil(math.log(tail_eps * (1.0 - beta) / max(d, 1e-300))
-                                       / math.log(beta)))
+        n_trunc = _truncation_depth(beta, d, tail_eps)
     ns = m.n_states
     spec = UtilitySpec.entropic(gamma)
     values = np.zeros((n_trunc + 1, ns))
@@ -526,7 +529,7 @@ def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
         for n in range(n_trunc)
     )
     tail = rules[-1] if rules else StationaryPolicy({s: m.admissible[s][0] for s in m.states})
-    tail_error = (beta ** (n_trunc + 1)) * (d / (1.0 - beta) if beta > 0 else 0.0)
+    tail_error = _tail_error(beta, d, n_trunc)
     return EntropicTotalSolution(
         model=m, gamma=gamma, values=values, level_argmax=level_argmax,
         stage_policy=StagePolicy(stages=rules, tail=tail),

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ChainStructureError,
@@ -33,7 +32,8 @@ from .errors import (
     IterationLimitError,
     ParameterError,
 )
-from .mdp import StationaryPolicy, analyze_chain, check_unichain_aperiodic, induced_chain, value_dict
+from .mdp import StationaryPolicy, analyze_chain, check_unichain_aperiodic, value_dict
+from .oce import logsumexp
 from .report import SolveReport
 
 MAX_ITERS = 10**6
@@ -82,10 +82,8 @@ def _precheck(m, mode, cap, sample, seed):
 
 def _log_min_sweep(m, gamma, lw):
     """log of min_a e^{gamma c(x,a)} sum_y q W, batched; +inf at inadmissible."""
-    inner = logsumexp(np.where(m.kernel > 0.0, np.log(np.where(m.kernel > 0.0, m.kernel, 1.0)), -np.inf)
-                      + lw[None, None, :], axis=2)
-    vals = np.where(m.admissible_mask, gamma * m.cost + inner, np.inf)
-    return vals
+    inner = logsumexp(m.log_kernel + lw, axis=2)
+    return np.where(m.admissible_mask, gamma * m.cost + inner, np.inf)
 
 
 def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
@@ -113,8 +111,10 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
     lam = damping
     lw = np.zeros(m.n_states)
     spread = np.inf
+    # the sweep at the new lw gives both this iteration's residual and the
+    # next iteration's update
+    vals = _log_min_sweep(m, gamma, lw)
     for it in range(1, max_iters + 1):
-        vals = _log_min_sweep(m, gamma, lw)
         lM = vals.min(axis=1)
         if lam < 1.0:
             ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + lM)
@@ -131,14 +131,14 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
             lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
         else:
             lrho = lrho_t
-        lM2 = _log_min_sweep(m, gamma, lw).min(axis=1)
-        residual = float(np.max(np.abs(np.expm1(lM2 - lrho - lw))))
+        vals = _log_min_sweep(m, gamma, lw)
+        residual = float(np.max(np.abs(np.expm1(vals.min(axis=1) - lrho - lw))))
         if residual <= tol or stalled:
             if residual > tol:
                 raise IterationLimitError(
                     "ergodic RVI stalled at the machine-precision fixed point "
                     f"above tol={tol:g}", residual, it)
-            idx = np.argmin(_log_min_sweep(m, gamma, lw), axis=1)
+            idx = np.argmin(vals, axis=1)
             policy = StationaryPolicy({s: m.actions[idx[i]] for i, s in enumerate(m.states)})
             h = lw / gamma
             with np.errstate(over="ignore"):
@@ -168,12 +168,12 @@ def ergodic_policy_value(m, policy, gamma, tol=1e-12, damping=0.5, max_iters=MAX
         raise ChainStructureError(
             f"policy {policy.choice} induces a reducible chain; Perron iteration needs "
             "a communicating class covering all states")
-    P, _, c = induced_chain(m, policy)
-    logP = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), -np.inf)
+    rows, idx = np.arange(m.n_states), policy.indices(m)
+    logP, c = m.log_kernel[rows, idx], m.cost[rows, idx]
     lam = damping
     lw = np.zeros(m.n_states)
     for it in range(1, max_iters + 1):
-        lM = gamma * c + logsumexp(logP + lw[None, :], axis=1)
+        lM = gamma * c + logsumexp(logP + lw, axis=1)
         ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + lM) if lam < 1.0 else lM
         growth = ly - lw
         spread = float(growth.max() - growth.min())

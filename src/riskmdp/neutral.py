@@ -12,6 +12,7 @@ Ties are always broken by the first admissible action in declared order.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +30,15 @@ from .mdp import (
     induced_chain,
     value_dict,
 )
+from .recursive import _iterate
 from .report import SolveReport
 
 MAX_ITERS = 10**6
 
 
-def _q_values(m, v, beta=None):
+def _q_values(m, v):
     """Action values r + beta * (kernel @ v), -inf at inadmissible pairs."""
-    beta = m.discount if beta is None else beta
-    q = m.reward + beta * (m.kernel @ v)
+    q = m.reward + m.discount * (m.kernel @ v)
     return np.where(m.admissible_mask, q, -np.inf)
 
 
@@ -54,33 +55,27 @@ def bellman_T(m, v):
     return q.max(axis=1), policy
 
 
-def value_iteration(m, tol=1e-9, max_iters=MAX_ITERS, v0=None):
+def value_iteration(m, tol=1e-9, max_iters=None, v0=None):
     """Iterate T to a sup-norm guarantee ||V - V*|| <= tol.
 
-    Stops once ||V_{k+1} - V_k|| <= tol (1 - beta) / (2 beta), which by the
+    Runs the contraction loop of the recursive criterion at tol / 2: it stops
+    once ||V_{k+1} - V_k|| <= (tol / 2) (1 - beta) / beta, which by the
     standard one-step contraction bound leaves ||V - V*|| <= tol / 2 (for
-    beta = 0 a single sweep is exact).
+    beta = 0 a single sweep is exact), and shares its sweep budget.
     """
     m.require_valid()
-    beta = m.discount
-    v = np.zeros(m.n_states) if v0 is None else np.asarray(v0, dtype=float)
-    stop = tol if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
-    for it in range(1, max_iters + 1):
-        w, policy = bellman_T(m, v)
-        delta = float(np.max(np.abs(w - v)))
-        v = w
-        if delta <= stop or beta == 0.0:
-            bound = 0.0 if beta == 0.0 else beta * delta / (1.0 - beta)
-            residual = float(np.max(np.abs(bellman_T(m, v)[0] - v)))
-            return SolveReport(
-                criterion="risk_neutral",
-                value=value_dict(m, v),
-                policy=dict(policy.choice),
-                iterations=it,
-                residual=residual,
-                error_bound=bound,
-            )
-    raise IterationLimitError("value iteration did not converge", delta, max_iters)
+    if not tol > 0.0:  # checked here so the message names tol, not tol / 2
+        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    v, policy, it, residual, bound = _iterate(
+        m, lambda v: bellman_T(m, v), tol / 2.0, max_iters, v0)
+    return SolveReport(
+        criterion="risk_neutral",
+        value=value_dict(m, v),
+        policy=dict(policy.choice),
+        iterations=it,
+        residual=residual,
+        error_bound=bound,
+    )
 
 
 def policy_evaluation(m, policy):
@@ -341,7 +336,8 @@ def vanishing_discount(m, betas, reference_state=None, policy_cap=4096):
     for beta in betas:
         if not (0.0 <= beta < 1.0):
             raise ParameterError(f"every beta must lie in [0, 1), got {beta}")
-        shadow = FiniteMdpView(m, beta)
+        shadow = copy.copy(m)
+        shadow.discount = float(beta)
         rep = policy_iteration(shadow)
         v = np.array([rep.value[s] for s in m.states])
         rows.append(VanishingDiscountRow(
@@ -358,24 +354,8 @@ def vanishing_discount(m, betas, reference_state=None, policy_cap=4096):
         gain = policy_gain(m, f)
         per_beta = {}
         for beta in betas:
-            shadow = FiniteMdpView(m, beta)
-            P, r, _ = induced_chain(shadow, f)
+            P, r, _ = induced_chain(m, f)
             v = np.linalg.solve(np.eye(m.n_states) - beta * P, r)
             per_beta[beta] = float((1.0 - beta) * v[z])
         diagnostics.append((f, gain, per_beta))
     return VanishingDiscountTable(z_id, rows, diagnostics)
-
-
-class FiniteMdpView:
-    """Lightweight proxy that overrides the discount of an existing model."""
-
-    def __init__(self, base, discount):
-        self._base = base
-        self.discount = float(discount)
-
-    def __getattr__(self, name):
-        return getattr(self._base, name)
-
-    def require_valid(self, for_discounted=True):
-        self._base.require_valid(for_discounted=False)
-        return self

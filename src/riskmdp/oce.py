@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DistributionError, ParameterError, UnsupportedUtilityError
 
@@ -366,11 +365,30 @@ def oce_cost(dist, spec):
     )
 
 
+def logsumexp(a, axis=None):
+    """ln sum exp(a) along ``axis`` (all axes for None), without over- or underflow.
+
+    The m terms equal to the maximum a_max are taken out of the shifted sum,
+    ln sum exp(a) = a_max + ln m + log1p(rest / m) with rest = sum of the
+    others' exp(a - a_max) (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    2021).  Close to a single dominant term, log1p keeps the digits that
+    ln(m + rest) loses.  An all -inf slice gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.count_nonzero(top, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    rest = np.sum(np.exp(np.where(top, -np.inf, a - shift)), axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(rest / m) + np.log(m) + a_max, axis=axis)[()]
+
+
 def entropic(dist, gamma):
     """Entropic risk value -(1/gamma) ln E[exp(-gamma X)], log-sum-exp stabilized."""
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ParameterError(f"entropic risk aversion must be > 0, got {gamma}")
-    return float(-logsumexp(-gamma * dist.values, b=dist.probs) / gamma)
+    # every atom has positive mass, so ln p is finite
+    return float(-logsumexp(np.log(dist.probs) - gamma * dist.values) / gamma)
 
 
 def _lower_quantile(dist, alpha):

@@ -29,11 +29,10 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import IterationLimitError, ParameterError
 from .mdp import StationaryPolicy, value_dict
-from .oce import DiscreteDistribution, UtilitySpec, oce  # noqa: F401  (oce: per-row reference)
+from .oce import DiscreteDistribution, UtilitySpec, logsumexp, oce  # noqa: F401  (oce: per-row reference)
 from .report import SolveReport
 
 # sweeps allowed past the contraction bound, for rounding near the stop level
@@ -206,7 +205,7 @@ def _iterate(m, sweep, tol, max_iters=None, v0=None):
             budget = _sweep_budget(beta, stop, delta, max_iters)
         if it >= budget:
             raise IterationLimitError(
-                "nested-risk value iteration did not converge", delta, it)
+                "value iteration did not converge", delta, it)
 
 
 def solve_recursive(m, spec, tol=1e-9, max_iters=None):

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ParameterError, PolicyError
 from .mdp import StagePolicy, StationaryPolicy
-from .oce import DiscreteDistribution, cvar as _cvar_tail
+from .oce import DiscreteDistribution, cvar as _cvar_tail, logsumexp
 
 _BOOT_TAG = 0xB005E  # appended to the seed for the bootstrap stream
 

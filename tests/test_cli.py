@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -266,3 +268,11 @@ class TestFixturesCmd:
             assert path.exists()
             assert main(["validate", "--model", str(path)]) == 0
         capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    probe = "import sys, riskmdp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskmdp import fixtures
+from riskmdp import ergodic, fixtures
 from riskmdp.ergodic import ergodic_policy_value, ergodic_rvi
 from riskmdp.errors import ChainStructureError, ParameterError
 from riskmdp.mdp import FiniteMdp, StationaryPolicy, enumerate_policies, induced_chain
@@ -36,6 +36,22 @@ class TestInvariantModel:
         rho = perron_value(np.diag(np.exp(c)) @ P)
         xi_f, _ = ergodic_policy_value(invariant_model, f, 1.0)
         assert xi_f == pytest.approx(math.log(rho), abs=1e-11)
+
+    def test_one_sweep_per_iteration(self, monkeypatch):
+        # the residual sweep of iteration k is the update sweep of k + 1, and
+        # the last one gives the policy
+        calls = []
+        sweep = ergodic._log_min_sweep
+
+        def counted(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(ergodic, "_log_min_sweep", counted)
+        sol = ergodic_rvi(cost_mdp(np.random.default_rng(11), n_states=6, n_actions=3),
+                          1.0, tol=1e-12)
+        assert sol.iterations > 1
+        assert len(calls) == sol.iterations + 1
 
     def test_residual_contract(self, invariant_model):
         sol = ergodic_rvi(invariant_model, 1.0, tol=1e-12)

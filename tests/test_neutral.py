@@ -81,6 +81,11 @@ class TestValueIteration:
             best = max(m.reward[si, m.action_index[a]] for a in m.admissible[s])
             assert rep.value[s] == pytest.approx(best, abs=1e-15)
 
+    def test_zero_tolerance_refused(self, jaquette):
+        # no finite sweep budget reaches a zero stop level
+        with pytest.raises(ParameterError):
+            value_iteration(jaquette, tol=0.0)
+
 
 class TestPolicyEvaluationIteration:
     def test_jaquette_f(self, jaquette):

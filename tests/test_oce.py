@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from riskmdp.errors import DistributionError, ParameterError, UnsupportedUtilityError
 from riskmdp.oce import (
@@ -11,6 +13,7 @@ from riskmdp.oce import (
     certainty_equivalent,
     cvar,
     entropic,
+    logsumexp,
     oce,
     oce_cost,
     oce_generic,
@@ -346,3 +349,43 @@ class TestProperties:
         spec = UtilitySpec.cvar(alpha)
         assert oce(d.scaled(delta), spec).value / delta == pytest.approx(
             oce(d, spec).value, abs=1e-6)
+
+
+# entries from 1e-300 to 1e3 in magnitude, either sign, 0 (a maximum whose
+# ln sum exp needs log1p of the other terms) or -inf
+lse_entries = st.one_of(
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]), st.floats(-300, 3)),
+    st.just(0.0), st.just(-math.inf))
+
+
+@st.composite
+def lse_arrays(draw):
+    """3-d arrays whose entries repeat from a small pool, so maxima tie, and
+    whose first row along the last axis is sometimes all -inf."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6)))
+    pool = draw(st.lists(lse_entries, min_size=1, max_size=3))
+    n = shape[0] * shape[1] * shape[2]
+    flat = draw(st.lists(st.one_of(st.sampled_from(pool), lse_entries), min_size=n, max_size=n))
+    a = np.array(flat).reshape(shape)
+    if draw(st.booleans()):
+        a[0, 0, :] = -math.inf
+    return a
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(lse_arrays(), st.sampled_from([None, -1, 2]))
+    def test_matches_scipy_within_two_ulp(self, a, axis):
+        ref = scipy_logsumexp(a, axis=axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=axis)
+        assert np.shape(got) == np.shape(ref)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where both are -inf
+            close = np.abs(got - ref) <= 2 * np.spacing(np.abs(ref))
+        assert np.all((got == ref) | close)
+
+    def test_small_tail_kept_by_log1p(self):
+        # ln(1 + e^-40) rounds to 0; acceptance criterion 07 (gamma = 1e-6)
+        # needs the digits log1p keeps
+        assert logsumexp(np.array([0.0, -40.0])) == math.log1p(math.exp(-40.0))
