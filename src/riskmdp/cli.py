@@ -167,7 +167,8 @@ def cmd_compare(args):
             "stage0_action": (rep.policy or {}).get(x0),
         })
     if args.format == "json":
-        _emit(json.dumps({"state": x0, "rows": rows}, indent=2) + "\n", args.out)
+        _emit(json.dumps({"state": x0, "rows": rows}, indent=2, allow_nan=False) + "\n",
+              args.out)
     else:
         lines = ["criterion\tvalue\tstage0_action"]
         lines += [f"{r['criterion']}\t{r['value']!r}\t{r['stage0_action']}" for r in rows]
@@ -217,7 +218,7 @@ def cmd_simulate(args):
         "seed": args.seed,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     else:
         _emit("".join(f"{k}\t{v!r}\n" for k, v in payload.items()), args.out)
     return 0

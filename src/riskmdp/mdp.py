@@ -417,6 +417,42 @@ def analyze_chain(m, policy):
     return ChainReport(policy, irreducible, unichain, len(closed), period)
 
 
+def reducible_policy(m):
+    """A stationary policy whose chain is reducible, or None if none exists.
+
+    The attractor Attr(x) is the least set that holds x and every state
+    whose admissible actions all reach the set in one step.  Its complement
+    is the largest set that some policy keeps closed while avoiding x, so
+    every policy is irreducible exactly when each attractor is the whole
+    state space.  The S attractors grow together, one (S, S) @ (S, S*A)
+    product per round, for at most S rounds.  The witness picks, inside the
+    complement of the first short attractor, the first admissible action
+    whose support stays there, and the first admissible action elsewhere.
+    """
+    S, A = m.n_states, m.n_actions
+    support = m.kernel > 0.0
+    # step[z, y*A + a]: action a at y reaches z; counts stay exact in float32
+    step = support.reshape(S * A, S).T.astype(np.float32)
+    inadmissible = ~m.admissible_mask.ravel()
+    attr = np.eye(S, dtype=bool)
+    while True:
+        reaches = (attr.astype(np.float32) @ step > 0.0) | inadmissible
+        grown = attr | reaches.reshape(S, S, A).all(axis=2)
+        if np.array_equal(grown, attr):
+            break
+        attr = grown
+    short = np.flatnonzero(~attr.all(axis=1))
+    if short.size == 0:
+        return None
+    closed = ~attr[short[0]]
+    stays = ~(support & ~closed).any(axis=2)
+    choice = {}
+    for i, s in enumerate(m.states):
+        acts = m.admissible[s]
+        choice[s] = next(a for a in acts if stays[i, m.action_index[a]]) if closed[i] else acts[0]
+    return StationaryPolicy(choice)
+
+
 @dataclass
 class UnichainCheck:
     """Aggregate of per-policy chain reports, possibly on a sampled subset."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -37,7 +38,13 @@ class SolveReport:
         return out
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        # joins the encoder's chunks in batches: json.dumps holds them all at
+        # once, several times the text of a long stage policy
+        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(self.to_dict())
+        parts = []
+        while part := "".join(itertools.islice(chunks, 8192)):
+            parts.append(part)
+        return "".join(parts) + "\n"
 
     def to_tsv(self):
         lines = ["state\tvalue\taction"]

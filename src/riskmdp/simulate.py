@@ -50,10 +50,18 @@ class RolloutBatch:
             yield i, float(self.discounted_rewards[i]), c
 
 
-def _replication_uniforms(seed, reps, horizon):
-    U = np.empty((reps, horizon))
-    for i in range(reps):
-        U[i] = np.random.default_rng(np.random.SeedSequence((seed, i))).random(horizon)
+# replications run in blocks whose uniforms and gathered successor rows hold
+# about _BLOCK_ELEMENTS numbers, so memory does not grow with reps; a block
+# keeps at least _MIN_BLOCK replications so that each step stays vectorized
+_BLOCK_ELEMENTS = 2**17
+_MIN_BLOCK = 256
+
+
+def _replication_uniforms(seed, lo, hi, horizon):
+    """Rows lo..hi-1 of the (reps, horizon) uniforms, one stream per replication."""
+    U = np.empty((hi - lo, horizon))
+    for i in range(lo, hi):
+        U[i - lo] = np.random.default_rng(np.random.SeedSequence((seed, i))).random(horizon)
     return U
 
 
@@ -80,24 +88,27 @@ def rollout(m, policy, x0, horizon, seed, reps):
     beta, d = m.discount, m.reward_bound
     trunc = (beta ** horizon) * d / (1.0 - beta) if 0.0 < beta < 1.0 else 0.0
     cum = np.cumsum(m.kernel, axis=2)
-    U = _replication_uniforms(seed, reps, horizon)
     R = np.zeros(reps)
     C = np.zeros(reps) if m.cost is not None else None
 
     rules = _rule_indices(m, policy, horizon)
-    if rules is not None:
-        x = np.full(reps, m.state_index[x0], dtype=int)
-        disc = 1.0
-        for t in range(horizon):
-            a = rules[t][x]
-            R += disc * m.reward[x, a]
-            if C is not None:
-                C += m.cost[x, a]
-            rows = cum[x, a, :]
-            x = np.minimum((rows < U[:, t][:, None]).sum(axis=1), m.n_states - 1)
-            disc *= beta
-    else:
-        for i in range(reps):
+    block = max(_MIN_BLOCK, _BLOCK_ELEMENTS // (horizon + m.n_states))
+    for lo in range(0, reps, block):
+        hi = min(lo + block, reps)
+        U = _replication_uniforms(seed, lo, hi, horizon)
+        if rules is not None:
+            x = np.full(hi - lo, m.state_index[x0], dtype=int)
+            disc = 1.0
+            for t in range(horizon):
+                a = rules[t][x]
+                R[lo:hi] += disc * m.reward[x, a]
+                if C is not None:
+                    C[lo:hi] += m.cost[x, a]
+                rows = cum[x, a, :]
+                x = np.minimum((rows < U[:, t][:, None]).sum(axis=1), m.n_states - 1)
+                disc *= beta
+            continue
+        for i in range(lo, hi):
             s = x0
             past = []
             disc = 1.0
@@ -109,7 +120,7 @@ def rollout(m, policy, x0, horizon, seed, reps):
                 R[i] += disc * m.reward[si, ai]
                 if C is not None:
                     C[i] += m.cost[si, ai]
-                y = int(np.minimum((cum[si, ai] < U[i, t]).sum(), m.n_states - 1))
+                y = int(np.minimum((cum[si, ai] < U[i - lo, t]).sum(), m.n_states - 1))
                 past.append((s, act))
                 s = m.states[y]
                 disc *= beta
@@ -158,8 +169,8 @@ def estimate(batch, functional, gamma=None, alpha=None, resamples=200):
     if batch.replications < 100:
         raise ParameterError("need at least 100 replications to estimate")
     samples = batch.discounted_rewards
-    if functional == "entropic" and not (gamma and gamma > 0.0):
-        raise ParameterError("entropic functional needs gamma > 0")
+    if functional == "entropic" and not (gamma and 0.0 < gamma < math.inf):
+        raise ParameterError("entropic functional needs a finite gamma > 0")
     if functional == "cvar" and not (alpha and 0.0 < alpha < 1.0):
         raise ParameterError("cvar functional needs alpha in (0, 1)")
     point = _functional_value(samples, functional, gamma, alpha)

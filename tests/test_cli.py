@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -123,6 +124,22 @@ class TestSolve:
         assert rep["gain"] == pytest.approx(0.6201145, abs=1e-6)
         assert "rho" in rep and "bias" in rep
 
+    def test_ergodic_rho_overflow_reported_as_null(self, invariant_path):
+        # e^{gamma xi} overflows at gamma = 1000: stdout must stay strict JSON
+        # and the run must print no overflow warning
+        def non_finite(name):
+            raise ValueError(f"non-finite constant {name} in the report")
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskmdp.cli", "solve", "--model", invariant_path,
+             "--criterion", "ergodic_entropic", "--gamma", "1000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rep = json.loads(proc.stdout, parse_constant=non_finite)
+        assert rep["rho"] is None
+        assert rep["gain"] == pytest.approx(1.0 - math.log(2.0) / 1000.0, abs=1e-12)
+
     def test_ergodic_needs_gamma(self, capsys, invariant_path):
         code, _, err = run(capsys, ["solve", "--model", invariant_path,
                                     "--criterion", "ergodic_entropic"])
@@ -214,6 +231,16 @@ class TestCompare:
 
 
 class TestSimulateCmd:
+    def test_infinite_gamma_refused(self, capsys, model_path):
+        # the estimate would be NaN, which strict JSON cannot carry
+        code, out, err = run(capsys, ["simulate", "--model", model_path,
+                                      "--policy", "fixture:jaquette.f",
+                                      "--functional", "entropic", "--gamma", "inf",
+                                      "--reps", "200"])
+        assert code == 4
+        assert out == ""
+        assert "gamma" in err
+
     def test_fixture_policy(self, capsys, model_path):
         code, out, _ = run(capsys, ["simulate", "--model", model_path,
                                     "--policy", "fixture:jaquette.f",

@@ -5,7 +5,6 @@ import pytest
 
 from riskmdp import mdp
 from riskmdp.augmented import entropic_total, solve_total_oce
-from riskmdp.ergodic import ergodic_rvi
 from riskmdp.errors import ParameterError
 from riskmdp.mdp import FiniteMdp, enumerate_policies
 from riskmdp.neutral import average_reward_rvi, policy_iteration, value_iteration, vanishing_discount
@@ -94,7 +93,6 @@ class TestBadInputs:
 
 
 @pytest.mark.parametrize("target, solve", [
-    ("riskmdp.ergodic.check_unichain_aperiodic", lambda m: ergodic_rvi(m, 1.0)),
     ("riskmdp.neutral.check_unichain_aperiodic", average_reward_rvi),
     ("riskmdp.neutral.enumerate_policies", lambda m: vanishing_discount(m, [0.9])),
 ])

@@ -164,6 +164,25 @@ class TestPreconditions:
         sol = ergodic_rvi(m, 1.0, tol=1e-10)
         assert m.cost.min() <= sol.xi <= m.cost.max()
 
+    def test_rare_trap_policies_rejected(self):
+        # 4^7 policies; only the 1 in 256 that pick trap at each of s0..s3
+        # keep that cycle closed, so a sample of 64 policies can miss them all
+        states = [f"s{i}" for i in range(7)]
+        actions = ["a", "b", "c", "trap"]
+        transitions = {s: {a: {y: 1.0 / 7 for y in states} for a in actions} for s in states}
+        for i in range(4):
+            transitions[states[i]]["trap"] = {states[(i + 1) % 4]: 1.0}
+        m = FiniteMdp(
+            states=states, actions=actions,
+            admissible={s: list(actions) for s in states},
+            transitions=transitions,
+            rewards={s: {a: 0.0 for a in actions} for s in states},
+            costs={s: {a: 1.0 if a == "trap" else 0.1 * j for j, a in enumerate(actions)}
+                   for s in states},
+            discount=0.5)
+        with pytest.raises(ChainStructureError, match="trap"):
+            ergodic_rvi(m, 1.0)
+
     def test_periodic_chain_still_solved(self):
         # two-cycle: damping makes the power iteration settle
         m = FiniteMdp(

@@ -19,6 +19,7 @@ from riskmdp.mdp import (
     enumerate_policies,
     induced_chain,
     load,
+    reducible_policy,
     save,
 )
 
@@ -213,6 +214,46 @@ class TestChainStructure:
         chk = check_unichain_aperiodic(m, cap=1000, sample=16, seed=2)
         assert not chk.exhaustive
         assert len(chk.reports) == 16
+
+
+def sparse_partial_mdp(rng):
+    """2 to 6 states, each with a random nonempty subset of 3 actions whose
+    successor supports have random sizes; about a third of these models have
+    no reducible policy."""
+    n = int(rng.integers(2, 7))
+    states = [f"s{i}" for i in range(n)]
+    actions = ["a", "b", "c"]
+    admissible, transitions = {}, {}
+    for s in states:
+        k = int(rng.integers(1, 4))
+        admissible[s] = [str(a) for a in rng.choice(actions, size=k, replace=False)]
+        transitions[s] = {}
+        for a in admissible[s]:
+            support = rng.choice(states, size=int(rng.integers(1, n + 1)), replace=False)
+            p = rng.random(support.size) + 0.1
+            transitions[s][a] = {str(y): float(q) for y, q in zip(support, p / p.sum())}
+    return FiniteMdp(states=states, actions=actions, admissible=admissible,
+                     transitions=transitions,
+                     rewards={s: {a: 0.0 for a in admissible[s]} for s in states},
+                     discount=0.5)
+
+
+class TestReduciblePolicy:
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(2007)
+        outcomes = []
+        for _ in range(400):
+            m = sparse_partial_mdp(rng)
+            m.require_valid()
+            witness = reducible_policy(m)
+            every_irreducible = all(analyze_chain(m, f).irreducible
+                                    for f in enumerate_policies(m))
+            assert (witness is None) == every_irreducible
+            if witness is not None:
+                assert not analyze_chain(m, witness).irreducible
+            outcomes.append(every_irreducible)
+        # both answers occur often enough for the comparison to mean something
+        assert min(sum(outcomes), len(outcomes) - sum(outcomes)) >= 100
 
 
 class TestReachability:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskmdp import fixtures
+from riskmdp import fixtures, simulate
 from riskmdp.augmented import entropic_total
 from riskmdp.ergodic import ergodic_rvi
 from riskmdp.errors import ParameterError, PolicyError
@@ -67,6 +67,22 @@ class TestRollout:
         b_vec = rollout(jaquette, sp, "1", 12, seed=9, reps=50)
         b_hook = rollout(jaquette, hook, "1", 12, seed=9, reps=50)
         assert np.array_equal(b_vec.discounted_rewards, b_hook.discounted_rewards)
+
+    def test_blocks_do_not_change_a_replication(self, jaquette, monkeypatch):
+        # replication i draws from its own stream, so cutting the batch into
+        # blocks of any size leaves every trajectory as it is, on both paths
+        f = fixtures.jaquette_policy("f")
+        whole = rollout(jaquette, f, "1", 12, seed=3, reps=600)
+
+        def hook(past, state):
+            return f.action(state)
+
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 0)
+        for block in (1, 7, 256):
+            monkeypatch.setattr(simulate, "_MIN_BLOCK", block)
+            for policy in (f, hook):
+                batch = rollout(jaquette, policy, "1", 12, seed=3, reps=600)
+                assert np.array_equal(batch.discounted_rewards, whole.discounted_rewards)
 
     def test_hook_must_return_admissible(self, jaquette):
         with pytest.raises(PolicyError):
