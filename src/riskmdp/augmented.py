@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mdp import StagePolicy, StationaryPolicy, value_dict
+from .mdp import StagePolicy, StationaryPolicy, first_admissible_policy, value_dict
 from .oce import UtilitySpec
 from .recursive import _check_gamma_range, successor_risk
 from .report import SolveReport
@@ -91,8 +91,9 @@ def _truncation_depth(beta, d, tail_eps):
 
 
 def _tail_error(beta, d, n_trunc):
-    """beta^(N+1) d / (1 - beta): what the levels past N can add to the value."""
-    return (beta ** (n_trunc + 1)) * (d / (1.0 - beta) if beta > 0 else 0.0)
+    """beta^(N+1) d / (1 - beta), 0 unless 0 < beta < 1: what the levels past
+    N can add to the value."""
+    return (beta ** (n_trunc + 1)) * (d / (1.0 - beta) if 0.0 < beta < 1.0 else 0.0)
 
 
 def default_grid(m, y_step=None, tail_eps=1e-8, eta_max=None, n_trunc=None):
@@ -375,8 +376,7 @@ def _realize_stage_policy(m, grid, argmax, x0_idx, eta_star):
             choice.setdefault(s, m.admissible[s][0])
         rules.append(StationaryPolicy(choice))
         current = nxt
-    tail = rules[-1] if rules else StationaryPolicy(
-        {s: m.admissible[s][0] for s in m.states})
+    tail = rules[-1] if rules else first_admissible_policy(m)
     return StagePolicy(stages=tuple(rules), tail=tail)
 
 
@@ -528,7 +528,7 @@ def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
         StationaryPolicy({s: m.actions[level_argmax[n, i]] for i, s in enumerate(m.states)})
         for n in range(n_trunc)
     )
-    tail = rules[-1] if rules else StationaryPolicy({s: m.admissible[s][0] for s in m.states})
+    tail = rules[-1] if rules else first_admissible_policy(m)
     tail_error = _tail_error(beta, d, n_trunc)
     return EntropicTotalSolution(
         model=m, gamma=gamma, values=values, level_argmax=level_argmax,

@@ -26,7 +26,7 @@ from .errors import (
     RiskMdpError,
     UnsupportedUtilityError,
 )
-from .mdp import StagePolicy, StationaryPolicy, load, save
+from .mdp import StagePolicy, StationaryPolicy, first_admissible_policy, load, save
 from .neutral import value_iteration
 from .oce import UtilitySpec
 from .recursive import entropic_fast_path, solve_recursive
@@ -183,7 +183,7 @@ def _policy_from_source(m, source):
         if name == "jaquette" and pol in ("f", "g"):
             return fixture_mod.jaquette_policy(pol)
         if pol == "" or pol == "first":
-            return StationaryPolicy({s: m.admissible[s][0] for s in m.states})
+            return first_admissible_policy(m)
         raise ParameterError(f"unknown fixture policy {source!r}")
     with open(source) as fh:
         obj = json.load(fh)

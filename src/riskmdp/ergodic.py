@@ -73,7 +73,8 @@ class ErgodicSolution:
 def _log_min_sweep(m, gamma, lw):
     """log of min_a e^{gamma c(x,a)} sum_y q W, batched; +inf at inadmissible."""
     inner = logsumexp(m.log_kernel + lw, axis=2)
-    return np.where(m.admissible_mask, gamma * m.cost + inner, np.inf)
+    with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
+        return np.where(m.admissible_mask, gamma * m.cost + inner, np.inf)
 
 
 def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
@@ -120,6 +121,9 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
         spread = float(growth.max() - growth.min())
         lrho_t = ly[z] - lw[z]
         lw_new = ly - ly[z]
+        if not np.all(np.isfinite(lw_new)):  # a NaN residual would never stop the loop
+            raise IterationLimitError(
+                "ergodic RVI produced a non-finite iterate", np.nan, it)
         stalled = np.array_equal(lw_new, lw)
         lw = lw_new
         # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
@@ -170,11 +174,15 @@ def ergodic_policy_value(m, policy, gamma, tol=1e-12, damping=0.5, max_iters=MAX
     lam = damping
     lw = np.zeros(m.n_states)
     for it in range(1, max_iters + 1):
-        lM = gamma * c + logsumexp(logP + lw, axis=1)
+        with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
+            lM = gamma * c + logsumexp(logP + lw, axis=1)
         ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + lM) if lam < 1.0 else lM
         growth = ly - lw
         spread = float(growth.max() - growth.min())
         lw = ly - ly[0]
+        if not np.all(np.isfinite(lw)):
+            raise IterationLimitError(
+                "Perron power iteration produced a non-finite iterate", np.nan, it)
         if spread <= tol:
             lrho_t = float(growth.mean())
             lrho = (lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)

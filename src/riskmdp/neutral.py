@@ -27,6 +27,7 @@ from .mdp import (
     StationaryPolicy,
     check_unichain_aperiodic,
     enumerate_policies,
+    first_admissible_policy,
     induced_chain,
     value_dict,
 )
@@ -94,7 +95,7 @@ def policy_iteration(m, max_rounds=10**4, tie_tol=1e-12):
     otherwise cycle between equally optimal policies.
     """
     m.require_valid()
-    policy = StationaryPolicy({s: m.admissible[s][0] for s in m.states})
+    policy = first_admissible_policy(m)
     for it in range(1, max_rounds + 1):
         idx = policy.indices(m)
         P, r, _ = induced_chain(m, policy)
@@ -254,6 +255,9 @@ def _average_rvi(m, table, minimize, tol, reference_state, damping, max_iters,
         w = damped_sweep(h)
         gain = w[z]
         h = w - gain
+        if not np.all(np.isfinite(h)):
+            raise IterationLimitError(
+                "relative value iteration produced a non-finite iterate", np.nan, it)
         # residual of the *undamped* optimality equation with bias lambda * h
         hb = lam * h
         q = undamped_q(hb)

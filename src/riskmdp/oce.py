@@ -7,10 +7,12 @@ The reward-side functional evaluated here is
 for a proper, closed, concave, non-decreasing utility u with u(0) = 0 and
 u'_+(0) <= 1 <= u'_-(0).  The interpretation: consume ``eta`` today, value the
 remainder by expected utility, and optimize the split.  For bounded X the
-supremum can be restricted to the support interval, which is what the
-numerical search does.
+supremum can be restricted to the support interval.
 
-Supported utility kinds and their closed forms:
+Each kind below has an exact closed form, and all of them live in one
+batched layer, :func:`_oce_sorted`, which :func:`oce`, the recursive sweep and
+the simulate bootstrap share.  :func:`oce_generic`, a direct search, is the
+independent reference the closed forms are tested against.  The kinds:
 
 * entropic, u(t) = (1 - exp(-gamma t)) / gamma:
       S_u(X) = -(1/gamma) ln E[exp(-gamma X)]
@@ -257,6 +259,105 @@ class OceResult:
     objective_evals: int = 0
 
 
+def _cvar_sorted(p, x, spec):
+    """-CVaR_alpha per row: the mean of the worst alpha-share of the atoms x,
+    attained at the lower alpha-quantile."""
+    before = np.cumsum(p, axis=-1) - p
+    take = np.minimum(p, np.maximum(spec.alpha - before, 0.0))
+    # the last atom with less than alpha below it; before[..., 0] = 0 < alpha
+    eta = x[(before < spec.alpha).sum(axis=-1) - 1]
+    return (take * x).sum(axis=-1) / spec.alpha, eta
+
+
+def _support_ends(p, x):
+    """Smallest and largest atom with positive mass, per row."""
+    pos = p > 0.0
+    lo = x[np.argmax(pos, axis=-1)]
+    hi = x[x.size - 1 - np.argmax(pos[..., ::-1], axis=-1)]
+    return lo, hi
+
+
+def _mean_variance_sorted(p, x, spec):
+    """Exact sup_eta { eta + E u(X - eta) } per row, u(t) = t - t^2/2 capped at 1/2.
+
+    The first-order condition sum_{x_i < eta+1} p_i (1 + eta - x_i) = 1 is
+    linear in eta while the set of atoms below eta + 1 stays fixed: with the
+    first k sorted atoms below, eta = (1 + M_k) / P_k - 1 for their mass P_k
+    and mass-weighted sum M_k.  The left side at eta = x_j - 1 is
+    x_j P_{<j} - M_{<j}, nondecreasing in j, so k counts the atoms where it is
+    below 1.
+    """
+    P = np.cumsum(p, axis=-1)
+    M = np.cumsum(p * x, axis=-1)
+    k = np.count_nonzero(x * (P - p) - (M - p * x) < 1.0, axis=-1)[..., None] - 1
+    Pk = np.take_along_axis(P, k, axis=-1)[..., 0]
+    Mk = np.take_along_axis(M, k, axis=-1)[..., 0]
+    # all-zero (inadmissible) rows get a finite placeholder
+    eta = (1.0 + Mk) / np.where(Pk > 0.0, Pk, 1.0) - 1.0
+    eta = np.clip(eta, *_support_ends(p, x))
+    return eta + (p * spec.u(x - eta[..., None])).sum(axis=-1), eta
+
+
+def _piecewise_linear_sorted(p, x, spec):
+    """Exact sup_eta { eta + E u(X - eta) } per row for a concave piecewise-linear u.
+
+    Written as u(t) = c + s t + sum_j d_j min(t - k_j, 0) over the interior
+    kinks k_j (slope drops d_j > 0, last slope s), the objective is
+
+        eta + c + s (E X - eta) + sum_j d_j (M(eta + k_j) - (eta + k_j) F(eta + k_j)),
+
+    with F(y), M(y) the mass and mass-weighted sum of the atoms below y, read
+    off the cumulative sums.  It is concave and piecewise linear, so its
+    maximum over the support sits at a kink x_i - k_j or at an end; the
+    candidates are clipped to each row's support.  Memory is rows * n * J.
+    """
+    ts = np.array([t for t, _ in spec.points])
+    us = np.array([u for _, u in spec.points])
+    slopes = np.diff(us) / np.diff(ts)
+    kinks, drops, s = ts[1:-1], slopes[:-1] - slopes[1:], slopes[-1]
+    c = us[-1] - s * ts[-1]
+    zero = np.zeros(p.shape[:-1] + (1,))
+    F = np.concatenate((zero, np.cumsum(p, axis=-1)), axis=-1)
+    M = np.concatenate((zero, np.cumsum(p * x, axis=-1)), axis=-1)
+    cands = np.concatenate(((x[:, None] - kinks).ravel(), x[:1]))
+    lo, hi = _support_ends(p, x)
+    eta = np.clip(cands, lo[..., None], hi[..., None])
+    obj = eta + c + s * (M[..., -1:] - eta)
+    for k, d in zip(kinks, drops):
+        y = eta + k
+        i = np.searchsorted(x, y)
+        obj += d * (np.take_along_axis(M, i, axis=-1) - y * np.take_along_axis(F, i, axis=-1))
+    best = obj.argmax(axis=-1)[..., None]
+    return (np.take_along_axis(obj, best, axis=-1)[..., 0],
+            np.take_along_axis(eta, best, axis=-1)[..., 0])
+
+
+_SORTED_OCE = {
+    "cvar": _cvar_sorted,
+    "mean_variance": _mean_variance_sorted,
+    "piecewise_linear": _piecewise_linear_sorted,
+}
+
+
+def _oce_sorted(p, x, spec, log_p=None):
+    """(S_u, maximizing eta) for every row of weights p over the atoms x: the
+    one place each utility kind's formula lives.
+
+    p has shape (..., n) and x shape (n,), ascending and shared by all rows;
+    zero weights let one atom vector serve rows with different supports.  The
+    entropic kind is a log-sum-exp that needs no atom order; it reads ln p
+    from ``log_p`` when the caller has it cached, and its maximizer is the
+    value itself (first-order condition E e^{-gamma (X - eta)} = 1).
+    """
+    if spec.kind == "entropic":
+        log_p = np.log(p) if log_p is None else log_p
+        value = -logsumexp(log_p - spec.gamma * x, axis=-1) / spec.gamma
+        return value, value
+    if spec.kind not in _SORTED_OCE:
+        raise UnsupportedUtilityError(f"unknown utility kind {spec.kind!r}")
+    return _SORTED_OCE[spec.kind](p, x, spec)
+
+
 def _objective(dist, spec, eta):
     """eta + E u(X - eta), vectorized over eta."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -309,12 +410,12 @@ def _kink_candidates(dist, spec, lo, hi):
 
 
 def oce_generic(dist, spec):
-    """The direct search path of :func:`oce`, no closed-form dispatch.
+    """S_u(X) by direct search, independent of the closed forms of :func:`oce`.
 
     Golden-section over the support interval (the objective is concave)
     followed by an exact sweep of the kink candidates, which makes
-    piecewise-linear utilities exact.  Exposed so the closed forms can be
-    cross-checked against it.
+    piecewise-linear utilities exact.  No solver calls it: it is the
+    reference the closed forms are cross-checked against.
     """
     if dist.is_degenerate:
         v = float(dist.values[0])
@@ -331,23 +432,10 @@ def oce_generic(dist, spec):
 
 
 def oce(dist, spec):
-    """Reward-side optimized certainty equivalent S_u(X).
-
-    Dispatches to the entropic / cvar closed forms; the other kinds run
-    :func:`oce_generic`.
-    """
-    if spec.kind == "entropic":
-        v = entropic(dist, spec.gamma)
-        # first-order condition E exp(-gamma (X - eta)) = 1 puts the
-        # maximizer at the entropic value itself
-        return OceResult(value=v, eta_star=v, objective_evals=1)
-    if dist.is_degenerate:
-        v = float(dist.values[0])
-        return OceResult(value=v, eta_star=v, objective_evals=0)
-    if spec.kind == "cvar":
-        risk = cvar(dist, spec.alpha)
-        return OceResult(value=-risk, eta_star=_lower_quantile(dist, spec.alpha), objective_evals=1)
-    return oce_generic(dist, spec)
+    """Reward-side optimized certainty equivalent S_u(X), one row of :func:`_oce_sorted`."""
+    order = np.argsort(dist.values, kind="stable")
+    value, eta = _oce_sorted(dist.probs[order], dist.values[order], spec)
+    return OceResult(value=float(value), eta_star=float(eta), objective_evals=1)
 
 
 def oce_cost(dist, spec):
@@ -385,34 +473,12 @@ def logsumexp(a, axis=None):
 
 def entropic(dist, gamma):
     """Entropic risk value -(1/gamma) ln E[exp(-gamma X)], log-sum-exp stabilized."""
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ParameterError(f"entropic risk aversion must be > 0, got {gamma}")
-    # every atom has positive mass, so ln p is finite
-    return float(-logsumexp(np.log(dist.probs) - gamma * dist.values) / gamma)
-
-
-def _lower_quantile(dist, alpha):
-    """Smallest t with P(X <= t) >= alpha (a maximizer of the cvar objective)."""
-    order = np.argsort(dist.values, kind="stable")
-    cum = np.cumsum(dist.probs[order])
-    idx = int(np.searchsorted(cum, alpha - 1e-15))
-    return float(dist.values[order][min(idx, dist.values.size - 1)])
+    return oce(dist, UtilitySpec.entropic(gamma)).value
 
 
 def cvar(dist, alpha):
-    """Conditional value-at-risk: the mean of the worst alpha-tail of losses.
-
-    Losses are -X.  Atoms straddling the alpha boundary are split
-    fractionally, which reproduces inf_eta { E[(eta-X)^+]/alpha - eta }
-    exactly on finite support.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"cvar level must lie in (0, 1), got {alpha}")
-    order = np.argsort(dist.values, kind="stable")  # ascending reward = descending loss
-    vals = dist.values[order]
-    mass = dist.probs[order]
-    take = np.minimum(mass, np.maximum(alpha - np.concatenate(([0.0], np.cumsum(mass)[:-1])), 0.0))
-    return float((take @ -vals) / alpha)
+    """Conditional value-at-risk: the mean of the worst alpha-tail of losses -X."""
+    return 0.0 - oce(dist, UtilitySpec.cvar(alpha)).value  # a zero tail stays +0.0
 
 
 def certainty_equivalent(dist, spec):

@@ -10,17 +10,17 @@ the maximizer defines an optimal stationary policy.
 
 Every row (x, a) of one sweep takes S_u over the same atom values V(y) and
 differs only in the weights q(y|x,a).  :func:`successor_risk` uses that shared
-structure and returns the whole (state, action) table of S_u(V(X')) at once,
-for every utility kind:
+structure and returns the whole (state, action) table of S_u(V(X')) with one
+call of the sorted OCE layer in :mod:`riskmdp.oce`, the same code that
+:func:`~riskmdp.oce.oce` runs on a single law:
 
-* entropic: -(1/gamma) ln sum_y q(y|x,a) exp(-gamma V(y)), by log-sum-exp over
-  the model's log kernel, which never under- or overflows;
-* cvar, mean_variance, piecewise_linear: V is sorted once per sweep, and each
-  row's value is array arithmetic on cumulative sums of q in that order (the
-  cvar tail, the exact mean-variance maximizer, an exact kink search).
+* entropic: a log-sum-exp over the model's cached log kernel, which never
+  under- or overflows and needs no order;
+* cvar, mean_variance, piecewise_linear: V is sorted once per sweep, and the
+  kernel rows, permuted to that order, are the layer's rows.
 
 The per-row path, :func:`push_forward` followed by :func:`~riskmdp.oce.oce`,
-stays as the reference the layer is tested against.
+stays as a reference for tests.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import IterationLimitError, ParameterError
 from .mdp import StationaryPolicy, value_dict
-from .oce import DiscreteDistribution, UtilitySpec, logsumexp, oce  # noqa: F401  (oce: per-row reference)
+# oce: the per-row reference of the tests, wrapped by name in bench/tracing.py
+from .oce import DiscreteDistribution, UtilitySpec, _oce_sorted, oce  # noqa: F401
 from .report import SolveReport
 
 # sweeps allowed past the contraction bound, for rounding near the stop level
@@ -64,82 +65,6 @@ def push_forward(m, state_idx, action_idx, v):
     return DiscreteDistribution(uniq, merged / merged.sum())
 
 
-def _cvar_sorted(p, x, spec):
-    """-CVaR_alpha per row: the mean of the worst alpha-share of the atoms x."""
-    before = np.cumsum(p, axis=-1) - p
-    take = np.minimum(p, np.maximum(spec.alpha - before, 0.0))
-    return (take * x).sum(axis=-1) / spec.alpha
-
-
-def _support_ends(p, x):
-    """Smallest and largest atom with positive mass, per row."""
-    pos = p > 0.0
-    lo = x[np.argmax(pos, axis=-1)]
-    hi = x[x.size - 1 - np.argmax(pos[..., ::-1], axis=-1)]
-    return lo, hi
-
-
-def _mean_variance_sorted(p, x, spec):
-    """Exact sup_eta { eta + E u(X - eta) } per row, u(t) = t - t^2/2 capped at 1/2.
-
-    The first-order condition sum_{x_i < eta+1} p_i (1 + eta - x_i) = 1 is
-    linear in eta while the set of atoms below eta + 1 stays fixed: with the
-    first k sorted atoms below, eta = (1 + M_k) / P_k - 1 for their mass P_k
-    and mass-weighted sum M_k.  The left side at eta = x_j - 1 is
-    x_j P_{<j} - M_{<j}, nondecreasing in j, so k counts the atoms where it is
-    below 1.
-    """
-    P = np.cumsum(p, axis=-1)
-    M = np.cumsum(p * x, axis=-1)
-    k = np.count_nonzero(x * (P - p) - (M - p * x) < 1.0, axis=-1)[..., None] - 1
-    Pk = np.take_along_axis(P, k, axis=-1)[..., 0]
-    Mk = np.take_along_axis(M, k, axis=-1)[..., 0]
-    # all-zero (inadmissible) rows get a finite placeholder
-    eta = (1.0 + Mk) / np.where(Pk > 0.0, Pk, 1.0) - 1.0
-    eta = np.clip(eta, *_support_ends(p, x))
-    return eta + (p * spec.u(x - eta[..., None])).sum(axis=-1)
-
-
-def _piecewise_linear_sorted(p, x, spec):
-    """Exact sup_eta { eta + E u(X - eta) } per row for a concave piecewise-linear u.
-
-    Written as u(t) = c + s t + sum_j d_j min(t - k_j, 0) over the interior
-    kinks k_j (slope drops d_j > 0, last slope s), the objective is
-
-        eta + c + s (E X - eta) + sum_j d_j (M(eta + k_j) - (eta + k_j) F(eta + k_j)),
-
-    with F(y), M(y) the mass and mass-weighted sum of the atoms below y, read
-    off the cumulative sums.  It is concave and piecewise linear, so its
-    maximum over the support sits at a kink x_i - k_j or at an end; the
-    candidates are clipped to each row's support.  Memory is rows * S * J.
-    """
-    ts = np.array([t for t, _ in spec.points])
-    us = np.array([u for _, u in spec.points])
-    slopes = np.diff(us) / np.diff(ts)
-    kinks, drops, s = ts[1:-1], slopes[:-1] - slopes[1:], slopes[-1]
-    c = us[-1] - s * ts[-1]
-    zero = np.zeros(p.shape[:-1] + (1,))
-    F = np.concatenate((zero, np.cumsum(p, axis=-1)), axis=-1)
-    M = np.concatenate((zero, np.cumsum(p * x, axis=-1)), axis=-1)
-    cands = np.concatenate(((x[:, None] - kinks).ravel(), x[:1]))
-    lo, hi = _support_ends(p, x)
-    eta = np.clip(cands, lo[..., None], hi[..., None])
-    obj = eta + c + s * (M[..., -1:] - eta)
-    for k, d in zip(kinks, drops):
-        y = eta + k
-        i = np.searchsorted(x, y)
-        obj += d * (np.take_along_axis(M, i, axis=-1) - y * np.take_along_axis(F, i, axis=-1))
-    return obj.max(axis=-1)
-
-
-# S_u per row from the rows p and the atoms x, both in ascending order of x
-_SORTED_RISK = {
-    "cvar": _cvar_sorted,
-    "mean_variance": _mean_variance_sorted,
-    "piecewise_linear": _piecewise_linear_sorted,
-}
-
-
 def successor_risk(m, spec, v):
     """S_u(v(X')), X' ~ q(.|x,a), for every (x, a) at once: an (S, A) table.
 
@@ -148,11 +73,11 @@ def successor_risk(m, spec, v):
     given, which validation holds to a mass of 1 within 1e-12.
     """
     v = np.asarray(v, dtype=float)
-    if spec.kind == "entropic":
-        risk = -logsumexp(m.log_kernel - spec.gamma * v, axis=-1) / spec.gamma
+    if spec.kind == "entropic":  # log-sum-exp needs no atom order
+        risk, _ = _oce_sorted(None, v, spec, log_p=m.log_kernel)
     else:
         order = np.argsort(v, kind="stable")
-        risk = _SORTED_RISK[spec.kind](m.kernel[..., order], v[order], spec)
+        risk, _ = _oce_sorted(m.kernel[..., order], v[order], spec)
     return np.where(m.admissible_mask, risk, 0.0)
 
 

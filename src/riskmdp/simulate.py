@@ -18,20 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augmented import _tail_error, _truncation_depth
 from .errors import ParameterError, PolicyError
 from .mdp import StagePolicy, StationaryPolicy
-from .oce import DiscreteDistribution, cvar as _cvar_tail, logsumexp
+from .oce import UtilitySpec, _oce_sorted, logsumexp
 
 _BOOT_TAG = 0xB005E  # appended to the seed for the bootstrap stream
 
 
 def required_horizon(m, truncation_error):
-    """Smallest h with beta^h d/(1-beta) <= truncation_error."""
-    beta, d = m.discount, m.reward_bound
-    if beta == 0.0 or d == 0.0:
-        return 1
-    h = math.ceil(math.log(truncation_error * (1.0 - beta) / d) / math.log(beta))
-    return max(1, h)
+    """Smallest h >= 1 with beta^h d/(1-beta) <= truncation_error."""
+    return _truncation_depth(m.discount, m.reward_bound, truncation_error)
 
 
 @dataclass
@@ -85,8 +82,8 @@ def rollout(m, policy, x0, horizon, seed, reps):
     m.require_valid(for_discounted=False)
     if x0 not in m.state_index:
         raise ParameterError(f"unknown initial state {x0!r}")
-    beta, d = m.discount, m.reward_bound
-    trunc = (beta ** horizon) * d / (1.0 - beta) if 0.0 < beta < 1.0 else 0.0
+    beta = m.discount
+    trunc = _tail_error(beta, m.reward_bound, horizon - 1)
     cum = np.cumsum(m.kernel, axis=2)
     R = np.zeros(reps)
     C = np.zeros(reps) if m.cost is not None else None
@@ -137,25 +134,12 @@ class EstimateReport:
     truncation_error: float
 
 
-def _functional_value(samples, functional, gamma, alpha):
-    if functional == "mean":
-        return float(samples.mean())
-    if functional == "entropic":
-        n = samples.size
-        return float(-(logsumexp(-gamma * samples) - math.log(n)) / gamma)
-    if functional == "cvar":
-        n = samples.size
-        dist = DiscreteDistribution(samples, np.full(n, 1.0 / n))
-        return _cvar_tail(dist, alpha)
-    raise ParameterError(f"unknown functional {functional!r}")
-
-
-def _bootstrap_se(samples, functional, gamma, alpha, seed, resamples=200):
+def _bootstrap_se(stat, n, seed, resamples):
+    """Standard deviation of stat(idx) over seeded resamples idx of range(n)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOT_TAG)))
-    n = samples.size
     stats = np.empty(resamples)
     for b in range(resamples):
-        stats[b] = _functional_value(samples[rng.integers(0, n, n)], functional, gamma, alpha)
+        stats[b] = stat(rng.integers(0, n, n))
     return float(stats.std(ddof=1))
 
 
@@ -164,22 +148,39 @@ def estimate(batch, functional, gamma=None, alpha=None, resamples=200):
 
     Entropic and tail-mean functionals are nonlinear in the empirical law, so
     standard errors come from a seeded nonparametric bootstrap; the mean uses
-    the classical formula.
+    the classical formula.  The tail mean sorts the samples once: the law of
+    a resample is its counts over them, one row of the OCE layer.
     """
     if batch.replications < 100:
         raise ParameterError("need at least 100 replications to estimate")
     samples = batch.discounted_rewards
+    n = samples.size
     if functional == "entropic" and not (gamma and 0.0 < gamma < math.inf):
         raise ParameterError("entropic functional needs a finite gamma > 0")
     if functional == "cvar" and not (alpha and 0.0 < alpha < 1.0):
         raise ParameterError("cvar functional needs alpha in (0, 1)")
-    point = _functional_value(samples, functional, gamma, alpha)
     if functional == "mean":
-        se = float(samples.std(ddof=1) / math.sqrt(samples.size))
+        point, se = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
+        return EstimateReport(functional, point, se, batch.replications,
+                              batch.horizon, batch.truncation_error)
+    if functional == "entropic":
+        def stat(idx):
+            return float(-(logsumexp(-gamma * samples[idx]) - math.log(n)) / gamma)
+    elif functional == "cvar":
+        # atoms above the smallest sample lo, so the tail sums round on the
+        # spread of the samples rather than on their level
+        order = np.argsort(samples, kind="stable")
+        rank, lo, spec = np.argsort(order), samples[order[0]], UtilitySpec.cvar(alpha)
+        x = samples[order] - lo
+
+        def stat(idx):  # 0.0 - keeps a zero tail at +0.0
+            p = np.bincount(rank[idx], minlength=n) / n
+            return 0.0 - lo - float(_oce_sorted(p, x, spec)[0])
     else:
-        se = _bootstrap_se(samples, functional, gamma, alpha, batch.seed, resamples)
-    return EstimateReport(functional, point, se, batch.replications,
-                          batch.horizon, batch.truncation_error)
+        raise ParameterError(f"unknown functional {functional!r}")
+    return EstimateReport(functional, stat(np.arange(n)),
+                          _bootstrap_se(stat, n, batch.seed, resamples),
+                          batch.replications, batch.horizon, batch.truncation_error)
 
 
 def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None, resamples=200):
@@ -196,13 +197,8 @@ def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None, resample
     batch = rollout(m, policy, x0 if x0 is not None else m.states[0], n, seed, reps)
     C = batch.cumulative_costs
 
-    def stat(samples):
-        return float((logsumexp(gamma * samples) - math.log(samples.size)) / (gamma * n))
+    def stat(idx):
+        return float((logsumexp(gamma * C[idx]) - math.log(reps)) / (gamma * n))
 
-    point = stat(C)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOT_TAG)))
-    stats = np.empty(resamples)
-    for b in range(resamples):
-        stats[b] = stat(C[rng.integers(0, reps, reps)])
-    return EstimateReport("ergodic_entropic", point, float(stats.std(ddof=1)),
-                          reps, n, 0.0)
+    return EstimateReport("ergodic_entropic", stat(np.arange(reps)),
+                          _bootstrap_se(stat, reps, seed, resamples), reps, n, 0.0)

@@ -140,6 +140,16 @@ class TestSolve:
         assert rep["rho"] is None
         assert rep["gain"] == pytest.approx(1.0 - math.log(2.0) / 1000.0, abs=1e-12)
 
+    def test_ergodic_overflow_fails_fast(self, invariant_path):
+        # at gamma = 1e308 the log sweep overflows and the iterate turns NaN:
+        # the run must stop at once with exit 3, not spin 10^6 iterations
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskmdp.cli", "solve", "--model", invariant_path,
+             "--criterion", "ergodic_entropic", "--gamma", "1e308"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3
+        assert "non-finite iterate" in proc.stderr
+
     def test_ergodic_needs_gamma(self, capsys, invariant_path):
         code, _, err = run(capsys, ["solve", "--model", invariant_path,
                                     "--criterion", "ergodic_entropic"])

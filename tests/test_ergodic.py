@@ -5,8 +5,14 @@ import pytest
 
 from riskmdp import ergodic, fixtures
 from riskmdp.ergodic import ergodic_policy_value, ergodic_rvi
-from riskmdp.errors import ChainStructureError, ParameterError
-from riskmdp.mdp import FiniteMdp, StationaryPolicy, enumerate_policies, induced_chain
+from riskmdp.errors import ChainStructureError, IterationLimitError, ParameterError
+from riskmdp.mdp import (
+    FiniteMdp,
+    StationaryPolicy,
+    enumerate_policies,
+    first_admissible_policy,
+    induced_chain,
+)
 from riskmdp.neutral import average_cost_rvi
 
 from conftest import random_mdp
@@ -129,6 +135,15 @@ class TestPreconditions:
     def test_gamma_positive(self, invariant_model):
         with pytest.raises(ParameterError):
             ergodic_rvi(invariant_model, 0.0)
+
+    def test_overflow_stops_at_first_non_finite_iterate(self, invariant_model):
+        # gamma * cost stays finite at 1e308, but the second sweep overflows
+        with pytest.raises(IterationLimitError) as exc:
+            ergodic_rvi(invariant_model, 1e308)
+        assert exc.value.iterations <= 3
+        with pytest.raises(IterationLimitError) as exc:
+            ergodic_policy_value(invariant_model, first_admissible_policy(invariant_model), 1e308)
+        assert exc.value.iterations <= 3
 
     def test_reducible_chain_rejected(self):
         m = FiniteMdp(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riskmdp import fixtures
-from riskmdp.errors import ChainStructureError, ParameterError
+from riskmdp.errors import ChainStructureError, IterationLimitError, ParameterError
 from riskmdp.mdp import FiniteMdp, enumerate_policies
 from riskmdp.neutral import (
     average_cost_rvi,
@@ -215,6 +215,17 @@ class TestAverageReward:
             rewards={"1": {"a": 0.0}, "2": {"a": 1.0}}, discount=0.5)
         with pytest.raises(ChainStructureError):
             average_reward_rvi(m)
+
+    def test_overflow_stops_at_first_non_finite_iterate(self):
+        # rewards near the double range: the relative values overflow to NaN
+        m = FiniteMdp(
+            states=["1", "2"], actions=["a"],
+            admissible={"1": ["a"], "2": ["a"]},
+            transitions={"1": {"a": {"1": 0.99, "2": 0.01}}, "2": {"a": {"1": 0.01, "2": 0.99}}},
+            rewards={"1": {"a": 1.7e308}, "2": {"a": 0.0}}, discount=0.5)
+        with np.errstate(over="ignore"), pytest.raises(IterationLimitError) as exc:
+            average_reward_rvi(m)
+        assert exc.value.iterations <= 3
 
     def test_average_cost_side(self, invariant_model):
         sol = average_cost_rvi(invariant_model, tol=1e-10)

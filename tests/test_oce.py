@@ -224,6 +224,21 @@ class TestOce:
                 res = oce(d, spec)
                 assert d.support_min - 1e-12 <= res.eta_star <= d.support_max + 1e-12
 
+    def test_eta_star_attains_value(self):
+        # the reported eta* is a maximizer: eta* + E u(X - eta*) is the value
+        rng = np.random.default_rng(11)
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(20):
+                n = int(rng.integers(1, 7))
+                vals = rng.uniform(-1.0, 1.0, n) * scale
+                probs = rng.random(n)
+                probs /= probs.sum()
+                d = DiscreteDistribution(vals, probs)
+                for spec in ALL_SPECS:
+                    res = oce(d, spec)
+                    attained = res.eta_star + probs @ spec.u(vals - res.eta_star)
+                    assert attained == pytest.approx(res.value, abs=1e-12 * (1.0 + scale)), spec
+
     def test_closed_forms_match_generic_search(self):
         rng = np.random.default_rng(4)
         for _ in range(25):

@@ -8,7 +8,7 @@ from riskmdp import fixtures
 from riskmdp.errors import IterationLimitError, ParameterError
 from riskmdp.mdp import FiniteMdp, StagePolicy
 from riskmdp.neutral import bellman_T, value_iteration
-from riskmdp.oce import UtilitySpec
+from riskmdp.oce import UtilitySpec, oce_generic
 from riskmdp.recursive import (
     _iterate,
     entropic_fast_path,
@@ -348,6 +348,20 @@ class TestSuccessorRisk:
                     assert abs(risk[si, ai] - want) <= tol, (s, a, risk[si, ai], want)
                 else:
                     assert risk[si, ai] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(layer_cases())
+    def test_matches_independent_search(self, case):
+        # oce() runs the layer's own closed forms; oce_generic is a
+        # golden-section search plus a kink sweep that shares none of them
+        m, v, spec = case
+        risk = successor_risk(m, spec, v)
+        tol = 1e-8 * (1.0 + np.max(np.abs(v)))
+        for si, s in enumerate(m.states):
+            for a in m.admissible[s]:
+                ai = m.action_index[a]
+                want = oce_generic(push_forward(m, si, ai, v), spec).value
+                assert abs(risk[si, ai] - want) <= tol, (s, a, risk[si, ai], want)
 
     @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
     def test_bellman_argmax_matches_per_row_loop_on_fixtures(self, name):
