@@ -524,10 +524,7 @@ def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
         values[n] = q.max(axis=1)
         level_argmax[n] = np.argmax(q, axis=1)
 
-    rules = tuple(
-        StationaryPolicy({s: m.actions[level_argmax[n, i]] for i, s in enumerate(m.states)})
-        for n in range(n_trunc)
-    )
+    rules = tuple(StationaryPolicy.from_indices(m, level_argmax[n]) for n in range(n_trunc))
     tail = rules[-1] if rules else first_admissible_policy(m)
     tail_error = _tail_error(beta, d, n_trunc)
     return EntropicTotalSolution(

@@ -13,15 +13,18 @@ equivalently, with W = e^{gamma h} and rho = e^{gamma xi},
 a nonlinear eigenproblem for the positive-matrix family; rho is the Perron
 value of the optimal policy's matrix diag(e^{gamma c_f}) P_f.  Relative value
 iteration with normalization at a reference state converges once the operator
-is damped with a self-loop mix (periodic chains otherwise cycle); the damping
-shifts the eigenvalue affinely, rho_damped = (1 - lam) + lam * rho, and keeps
-the eigenvector and the argmin, so the reported xi is undamped.
+is damped with the self-loop mix lam = 1/2 (periodic chains otherwise cycle);
+the damping shifts the eigenvalue affinely, rho_damped = (1 - lam) + lam * rho,
+and keeps the eigenvector and the argmin, so the reported xi is undamped.
+:func:`ergodic_rvi` is the one iteration: the value of a single policy is the
+same iteration on a copy of the model restricted to that policy's actions.
 
 Every sweep runs in log space (log W), so no gamma causes overflow.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +38,13 @@ from .errors import (
 # name in this module, and its traced run fails if the attribute is missing
 from .mdp import (
     StationaryPolicy,
-    analyze_chain,
     check_unichain_aperiodic,
     reducible_policy,
     value_dict,
 )
+from .neutral import DAMPING, MAX_ITERS
 from .oce import logsumexp
 from .report import SolveReport
-
-MAX_ITERS = 10**6
 
 
 @dataclass
@@ -77,25 +78,26 @@ def _log_min_sweep(m, gamma, lw):
         return np.where(m.admissible_mask, gamma * m.cost + inner, np.inf)
 
 
-def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
-                max_iters=MAX_ITERS):
+def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
     """Optimal ergodic entropic cost (xi, h, W, policy, rho) by damped RVI.
 
     Stopping uses the relative residual of the undamped multiplicative
     equation, max_x |M W(x) / (rho W(x)) - 1| <= tol, which is scale-free in
     gamma (the additive xi/h residual divides float noise by gamma and cannot
-    reach tight tolerances for small gamma).  The loop also stops if an
-    iteration leaves the table bitwise unchanged, i.e. the machine-precision
-    fixed point was reached.  A model in which some stationary policy
-    induces a reducible chain is refused with :class:`ChainStructureError`
-    naming that policy (the exact test of :func:`reducible_policy`).
+    reach tight tolerances for small gamma).  The stopping contract is that of
+    :mod:`riskmdp.neutral`: a tolerance <= 0 is refused, and a non-finite
+    iterate, a recurring iterate above tol or ``MAX_ITERS`` iterations raise
+    :class:`IterationLimitError`.  A model in which some
+    stationary policy induces a reducible chain is refused with
+    :class:`ChainStructureError` naming that policy (the exact test of
+    :func:`reducible_policy`).
     """
     if not (gamma > 0.0 and np.isfinite(gamma)):
         raise ParameterError(f"risk aversion must be > 0, got {gamma}")
+    if not tol > 0.0:
+        raise ParameterError(f"tolerance must be > 0, got {tol}")
     if m.cost is None:
         raise ParameterError("ergodic solver needs a cost table")
-    if not (0.0 < damping <= 1.0):
-        raise ParameterError(f"damping must lie in (0, 1], got {damping}")
     m.require_valid(for_discounted=False)
     witness = reducible_policy(m)
     if witness is not None:
@@ -105,18 +107,14 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
         )
 
     z = m.state_index[reference_state if reference_state is not None else m.states[0]]
-    lam = damping
-    lw = np.zeros(m.n_states)
+    lam = DAMPING
+    lw = anchor = np.zeros(m.n_states)
     spread = np.inf
     # the sweep at the new lw gives both this iteration's residual and the
     # next iteration's update
     vals = _log_min_sweep(m, gamma, lw)
-    for it in range(1, max_iters + 1):
-        lM = vals.min(axis=1)
-        if lam < 1.0:
-            ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + lM)
-        else:
-            ly = lM
+    for it in range(1, MAX_ITERS + 1):
+        ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + vals.min(axis=1))
         growth = ly - lw
         spread = float(growth.max() - growth.min())
         lrho_t = ly[z] - lw[z]
@@ -124,73 +122,52 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None, damping=0.5,
         if not np.all(np.isfinite(lw_new)):  # a NaN residual would never stop the loop
             raise IterationLimitError(
                 "ergodic RVI produced a non-finite iterate", np.nan, it)
-        stalled = np.array_equal(lw_new, lw)
+        # an earlier iterate recurs: the float iteration cycles and no later
+        # residual is new (Brent's check, with the anchor moved at powers of 2)
+        stalled = np.array_equal(lw_new, anchor)
+        if it & (it - 1) == 0:
+            anchor = lw_new
         lw = lw_new
         # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
-        if lam < 1.0:
-            lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
-        else:
-            lrho = lrho_t
+        lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
         vals = _log_min_sweep(m, gamma, lw)
         with np.errstate(over="ignore"):
             residual = float(np.max(np.abs(np.expm1(vals.min(axis=1) - lrho - lw))))
         if residual <= tol or stalled:
             if residual > tol:
                 raise IterationLimitError(
-                    "ergodic RVI stalled at the machine-precision fixed point "
-                    f"above tol={tol:g}", residual, it)
-            idx = np.argmin(vals, axis=1)
-            policy = StationaryPolicy({s: m.actions[idx[i]] for i, s in enumerate(m.states)})
+                    f"ergodic RVI stalled at machine precision above tol={tol:g}",
+                    residual, it)
             h = lw / gamma
             with np.errstate(over="ignore"):
                 W, rho = np.exp(lw), float(np.exp(lrho))
             return ErgodicSolution(
                 xi=float(lrho / gamma), h=value_dict(m, h), W=value_dict(m, W),
-                policy=policy, rho=rho,
+                policy=StationaryPolicy.from_indices(m, np.argmin(vals, axis=1)), rho=rho,
                 iterations=it, residual=residual, ratio_spread=spread,
             )
     raise IterationLimitError(
         f"ergodic RVI did not converge (last ratio spread {spread:.3e})",
-        residual, max_iters)
+        residual, MAX_ITERS)
 
 
-def ergodic_policy_value(m, policy, gamma, tol=1e-12, damping=0.5, max_iters=MAX_ITERS):
-    """Growth rate (xi_f, W_f) of one stationary policy by damped power iteration.
+def ergodic_policy_value(m, policy, gamma):
+    """Growth rate (xi_f, W_f) of one stationary policy.
 
     xi_f = (1/gamma) ln rho_f with rho_f the Perron value of
-    diag(e^{gamma c_f}) P_f; the eigenvector is strictly positive.
+    diag(e^{gamma c_f}) P_f, and W_f its strictly positive eigenvector: the
+    result of :func:`ergodic_rvi` on a copy of the model in which every state
+    admits only the policy's action.  On that copy the precheck is exactly
+    the irreducibility test of the policy's chain.  The tolerance is 1e-13,
+    or 16 ulps of the largest exponent gamma * c_f where that is larger: the
+    sweep's log terms carry gamma * c_f, and their rounding floors the
+    relative residual.
     """
-    if not (gamma > 0.0 and np.isfinite(gamma)):
-        raise ParameterError(f"risk aversion must be > 0, got {gamma}")
-    if m.cost is None:
-        raise ParameterError("ergodic solver needs a cost table")
-    rep = analyze_chain(m, policy)
-    if not rep.irreducible:
-        raise ChainStructureError(
-            f"policy {policy.choice} induces a reducible chain; Perron iteration needs "
-            "a communicating class covering all states")
-    rows, idx = np.arange(m.n_states), policy.indices(m)
-    logP, c = m.log_kernel[rows, idx], m.cost[rows, idx]
-    lam = damping
-    lw = np.zeros(m.n_states)
-    for it in range(1, max_iters + 1):
-        with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
-            lM = gamma * c + logsumexp(logP + lw, axis=1)
-        ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + lM) if lam < 1.0 else lM
-        growth = ly - lw
-        spread = float(growth.max() - growth.min())
-        lw = ly - ly[0]
-        if not np.all(np.isfinite(lw)):
-            raise IterationLimitError(
-                "Perron power iteration produced a non-finite iterate", np.nan, it)
-        if spread <= tol:
-            lrho_t = float(growth.mean())
-            lrho = (lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
-                    if lam < 1.0 else lrho_t)
-            h = lw / gamma
-            with np.errstate(over="ignore"):
-                W = np.exp(gamma * h)
-            return float(lrho / gamma), value_dict(m, W)
-    raise IterationLimitError(
-        f"Perron power iteration did not converge (spread {spread:.3e})",
-        spread, max_iters)
+    idx = policy.indices(m)
+    shadow = copy.copy(m)
+    shadow.admissible = {s: [policy.choice[s]] for s in m.states}
+    shadow.admissible_mask = np.zeros_like(m.admissible_mask)
+    shadow.admissible_mask[np.arange(m.n_states), idx] = True
+    top = gamma * np.max(m.cost[np.arange(m.n_states), idx]) if m.cost is not None else 0.0
+    sol = ergodic_rvi(shadow, gamma, tol=max(1e-13, 16 * np.finfo(float).eps * top))
+    return sol.xi, sol.W

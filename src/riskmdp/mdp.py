@@ -284,6 +284,11 @@ class StationaryPolicy:
             out[m.state_index[s]] = m.action_index[a]
         return out
 
+    @classmethod
+    def from_indices(cls, m, idx):
+        """The policy with action index ``idx[i]`` at state index i; inverse of :meth:`indices`."""
+        return cls({s: m.actions[idx[i]] for i, s in enumerate(m.states)})
+
     def __hash__(self):
         return hash(tuple(sorted(self.choice.items())))
 

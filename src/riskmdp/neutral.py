@@ -2,10 +2,21 @@
 
 Discounted criterion: V(x) = max_a { r(x,a) + beta * sum_y q(y|x,a) V(y) },
 solved by value iteration (contraction with modulus beta), policy iteration,
-or tabular Q-learning.  Average criterion: the unichain optimality equation
+or tabular Q-learning; every policy value is one linear solve
+(I - beta P_f) V = r_f.  Average criterion: the unichain optimality equation
 xi + h(x) = max_a { r(x,a) + sum_y q(y|x,a) h(y) }, solved by relative value
-iteration on a self-loop-damped kernel (damping enforces aperiodicity without
-changing the gain), plus the vanishing-discount quantities connecting the two.
+iteration on the kernel damped by the self-loop mix (1/2) I + (1/2) q, which
+is aperiodic and has the same gain; plus the vanishing-discount quantities
+connecting the two.
+
+Relative value iteration here and in :mod:`riskmdp.ergodic` shares one
+stopping contract: a tolerance <= 0 is refused, and the loop stops at the
+tolerance, at the first non-finite iterate, at an iterate equal to an
+earlier one (the float iteration has entered a cycle, so no later residual
+is new; it raises if the residual is still above the tolerance there) or,
+as a backstop, after ``MAX_ITERS`` iterations.  The damped operators are
+only nonexpansive in the span seminorm, so no contraction modulus gives a
+tighter budget.
 
 Ties are always broken by the first admissible action in declared order.
 """
@@ -34,7 +45,11 @@ from .mdp import (
 from .recursive import _iterate
 from .report import SolveReport
 
-MAX_ITERS = 10**6
+MAX_ITERS = 10**6   # backstop of both relative value iterations
+DAMPING = 0.5       # their self-loop mix; halving is exact in floating point
+_POLICY_CAP = 4096  # policies enumerated by the unichain check and the diagnostics
+_TIE_TOL = 1e-12    # margin a policy-iteration competitor must win by
+_MAX_ROUNDS = 10**4
 
 
 def _q_values(m, v):
@@ -46,7 +61,7 @@ def _q_values(m, v):
 def _greedy(m, q):
     """Greedy policy from an action-value table (first argmax in declared order)."""
     idx = np.argmax(q, axis=1)
-    return StationaryPolicy({s: m.actions[idx[i]] for i, s in enumerate(m.states)}), idx
+    return StationaryPolicy.from_indices(m, idx), idx
 
 
 def bellman_T(m, v):
@@ -56,7 +71,7 @@ def bellman_T(m, v):
     return q.max(axis=1), policy
 
 
-def value_iteration(m, tol=1e-9, max_iters=None, v0=None):
+def value_iteration(m, tol=1e-9):
     """Iterate T to a sup-norm guarantee ||V - V*|| <= tol.
 
     Runs the contraction loop of the recursive criterion at tol / 2: it stops
@@ -67,8 +82,7 @@ def value_iteration(m, tol=1e-9, max_iters=None, v0=None):
     m.require_valid()
     if not tol > 0.0:  # checked here so the message names tol, not tol / 2
         raise ParameterError(f"tolerance must be > 0, got {tol}")
-    v, policy, it, residual, bound = _iterate(
-        m, lambda v: bellman_T(m, v), tol / 2.0, max_iters, v0)
+    v, policy, it, residual, bound = _iterate(m, lambda v: bellman_T(m, v), tol / 2.0)
     return SolveReport(
         criterion="risk_neutral",
         value=value_dict(m, v),
@@ -79,33 +93,36 @@ def value_iteration(m, tol=1e-9, max_iters=None, v0=None):
     )
 
 
+def _chain_value(P, r, beta):
+    """Discounted value of a chain with rewards r: the solution of (I - beta P) V = r."""
+    return np.linalg.solve(np.eye(P.shape[0]) - beta * P, r)
+
+
 def policy_evaluation(m, policy):
     """Exact discounted value of a stationary policy via (I - beta P_f) V = r_f."""
     m.require_valid()
     P, r, _ = induced_chain(m, policy)
-    v = np.linalg.solve(np.eye(m.n_states) - m.discount * P, r)
-    return value_dict(m, v)
+    return value_dict(m, _chain_value(P, r, m.discount))
 
 
-def policy_iteration(m, max_rounds=10**4, tie_tol=1e-12):
+def policy_iteration(m):
     """Howard policy iteration; terminates when the policy repeats.
 
     Improvement keeps the incumbent action unless a competitor is better by
-    more than ``tie_tol``; evaluating ties through float noise would
-    otherwise cycle between equally optimal policies.
+    more than 1e-12; evaluating ties through float noise would otherwise
+    cycle between equally optimal policies.
     """
     m.require_valid()
     policy = first_admissible_policy(m)
-    for it in range(1, max_rounds + 1):
+    for it in range(1, _MAX_ROUNDS + 1):
         idx = policy.indices(m)
         P, r, _ = induced_chain(m, policy)
-        v = np.linalg.solve(np.eye(m.n_states) - m.discount * P, r)
+        v = _chain_value(P, r, m.discount)
         q = _q_values(m, v)
         best = np.argmax(q, axis=1)
         rows = np.arange(m.n_states)
-        keep = q[rows, best] <= q[rows, idx] + tie_tol
-        new_idx = np.where(keep, idx, best)
-        improved = StationaryPolicy({s: m.actions[new_idx[i]] for i, s in enumerate(m.states)})
+        keep = q[rows, best] <= q[rows, idx] + _TIE_TOL
+        improved = StationaryPolicy.from_indices(m, np.where(keep, idx, best))
         if improved.choice == policy.choice:
             residual = float(np.max(np.abs(bellman_T(m, v)[0] - v)))
             return SolveReport(
@@ -117,7 +134,7 @@ def policy_iteration(m, max_rounds=10**4, tie_tol=1e-12):
                 error_bound=residual / max(1.0 - m.discount, 1e-300),
             )
         policy = improved
-    raise IterationLimitError("policy iteration did not settle", iterations=max_rounds)
+    raise IterationLimitError("policy iteration did not settle", iterations=_MAX_ROUNDS)
 
 
 @dataclass
@@ -217,75 +234,73 @@ class AverageSolution:
     residual: float
 
 
-def _average_rvi(m, table, minimize, tol, reference_state, damping, max_iters,
-                 check_unichain, unichain_cap):
+def _average_rvi(m, table, minimize, tol, reference_state):
     """Relative value iteration for the average criterion.
 
     Works on the damped kernel q~ = (1-lambda) I + lambda q, which is
     aperiodic and has the same gain and argmax structure; the returned bias is
     rescaled back (h = lambda * h~) so the undamped optimality equation holds.
+    One kernel product per iteration: the undamped table vals + q(lambda h~)
+    that gives the residual, plus (1-lambda) h~, is the next damped sweep.
     """
-    if check_unichain:
-        try:
-            chk = check_unichain_aperiodic(m, cap=unichain_cap)
-        except EnumerationCapError:
-            chk = check_unichain_aperiodic(m, sample=64)
-        bad = chk.first_reducible()
-        if bad is not None:
-            raise ChainStructureError(
-                f"policy {bad.policy.choice} induces {bad.n_recurrent_classes} recurrent classes; "
-                "the average criterion needs unichain models"
-            )
+    if not tol > 0.0:
+        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    try:
+        chk = check_unichain_aperiodic(m, cap=_POLICY_CAP)
+    except EnumerationCapError:
+        chk = check_unichain_aperiodic(m, sample=64)
+    bad = chk.first_reducible()
+    if bad is not None:
+        raise ChainStructureError(
+            f"policy {bad.policy.choice} induces {bad.n_recurrent_classes} recurrent classes; "
+            "the average criterion needs unichain models"
+        )
     z = m.state_index[reference_state if reference_state is not None else m.states[0]]
-    lam = damping
-    sign = -1.0 if minimize else 1.0
-    vals = np.where(m.admissible_mask, table, sign * -np.inf)
-    h = np.zeros(m.n_states)
-
-    def damped_sweep(h):
-        q = vals + lam * (m.kernel @ h) + (1.0 - lam) * h[:, None]
-        q = np.where(m.admissible_mask, q, sign * -np.inf)
-        return (q.min(axis=1) if minimize else q.max(axis=1))
-
-    def undamped_q(h):
-        q = vals + m.kernel @ h
-        return np.where(m.admissible_mask, q, sign * -np.inf)
-
-    for it in range(1, max_iters + 1):
-        w = damped_sweep(h)
+    lam = DAMPING
+    best, arg = (np.min, np.argmin) if minimize else (np.max, np.argmax)
+    # +-inf at inadmissible pairs, which every table below inherits
+    vals = np.where(m.admissible_mask, table, np.inf if minimize else -np.inf)
+    h = anchor = np.zeros(m.n_states)
+    q = vals + m.kernel @ h
+    for it in range(1, MAX_ITERS + 1):
+        w = best(q + (1.0 - lam) * h[:, None], axis=1)
         gain = w[z]
-        h = w - gain
-        if not np.all(np.isfinite(h)):
+        h_new = w - gain
+        if not np.all(np.isfinite(h_new)):
             raise IterationLimitError(
                 "relative value iteration produced a non-finite iterate", np.nan, it)
+        # an earlier iterate recurs: the float iteration cycles and no later
+        # residual is new (Brent's check, with the anchor moved at powers of 2)
+        stalled = np.array_equal(h_new, anchor)
+        if it & (it - 1) == 0:
+            anchor = h_new
+        h = h_new
         # residual of the *undamped* optimality equation with bias lambda * h
         hb = lam * h
-        q = undamped_q(hb)
-        opt = q.min(axis=1) if minimize else q.max(axis=1)
-        residual = float(np.max(np.abs(opt - gain - hb)))
-        if residual <= tol:
-            idx = np.argmin(q, axis=1) if minimize else np.argmax(q, axis=1)
-            policy = StationaryPolicy({s: m.actions[idx[i]] for i, s in enumerate(m.states)})
+        q = vals + m.kernel @ hb
+        residual = float(np.max(np.abs(best(q, axis=1) - gain - hb)))
+        if residual <= tol or stalled:
+            if residual > tol:
+                raise IterationLimitError(
+                    f"relative value iteration stalled at machine precision above tol={tol:g}",
+                    residual, it)
+            policy = StationaryPolicy.from_indices(m, arg(q, axis=1))
             return AverageSolution(float(gain), value_dict(m, hb), policy, it, residual)
-    raise IterationLimitError("relative value iteration did not converge", residual, max_iters)
+    raise IterationLimitError("relative value iteration did not converge", residual, MAX_ITERS)
 
 
-def average_reward_rvi(m, tol=1e-9, reference_state=None, damping=0.5,
-                       max_iters=MAX_ITERS, check_unichain=True, unichain_cap=4096):
+def average_reward_rvi(m, tol=1e-9, reference_state=None):
     """Maximal average reward of a unichain model (gain, bias, policy)."""
     m.require_valid(for_discounted=False)
-    return _average_rvi(m, m.reward, False, tol, reference_state, damping,
-                        max_iters, check_unichain, unichain_cap)
+    return _average_rvi(m, m.reward, False, tol, reference_state)
 
 
-def average_cost_rvi(m, tol=1e-9, reference_state=None, damping=0.5,
-                     max_iters=MAX_ITERS, check_unichain=True, unichain_cap=4096):
+def average_cost_rvi(m, tol=1e-9, reference_state=None):
     """Minimal average cost; the model must carry a cost table."""
     m.require_valid(for_discounted=False)
     if m.cost is None:
         raise ParameterError("model has no cost table")
-    return _average_rvi(m, m.cost, True, tol, reference_state, damping,
-                        max_iters, check_unichain, unichain_cap)
+    return _average_rvi(m, m.cost, True, tol, reference_state)
 
 
 def stationary_distribution(P):
@@ -323,7 +338,7 @@ class VanishingDiscountTable:
     policy_diagnostics: list  # (policy, gain, {beta: (1-beta) J_beta(z, f)})
 
 
-def vanishing_discount(m, betas, reference_state=None, policy_cap=4096):
+def vanishing_discount(m, betas, reference_state=None):
     """Normalized discounted values along beta -> 1 plus per-policy bounds.
 
     V*_beta comes from policy iteration (exact linear solves), which stays
@@ -331,7 +346,7 @@ def vanishing_discount(m, betas, reference_state=None, policy_cap=4096):
     chase increments below float resolution.  For each stationary policy f
     the long-run average gain never exceeds liminf (1-beta) J_beta(z, f); the
     diagnostics tabulate both sides at the requested betas so the gap is
-    visible.
+    visible; they stay empty beyond 4096 policies.
     """
     m.require_valid(for_discounted=False)
     z_id = reference_state if reference_state is not None else m.states[0]
@@ -351,15 +366,11 @@ def vanishing_discount(m, betas, reference_state=None, policy_cap=4096):
         ))
     diagnostics = []
     try:
-        policies = enumerate_policies(m, cap=policy_cap)
+        policies = enumerate_policies(m, cap=_POLICY_CAP)
     except EnumerationCapError:
         policies = []
     for f in policies:
-        gain = policy_gain(m, f)
-        per_beta = {}
-        for beta in betas:
-            P, r, _ = induced_chain(m, f)
-            v = np.linalg.solve(np.eye(m.n_states) - beta * P, r)
-            per_beta[beta] = float((1.0 - beta) * v[z])
-        diagnostics.append((f, gain, per_beta))
+        P, r, _ = induced_chain(m, f)
+        per_beta = {beta: float((1.0 - beta) * _chain_value(P, r, beta)[z]) for beta in betas}
+        diagnostics.append((f, float(stationary_distribution(P) @ r), per_beta))
     return VanishingDiscountTable(z_id, rows, diagnostics)

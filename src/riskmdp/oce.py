@@ -289,7 +289,7 @@ def _mean_variance_sorted(p, x, spec):
     """
     P = np.cumsum(p, axis=-1)
     M = np.cumsum(p * x, axis=-1)
-    k = np.count_nonzero(x * (P - p) - (M - p * x) < 1.0, axis=-1)[..., None] - 1
+    k = (x * (P - p) - (M - p * x) < 1.0).sum(axis=-1)[..., None] - 1
     Pk = np.take_along_axis(P, k, axis=-1)[..., 0]
     Mk = np.take_along_axis(M, k, axis=-1)[..., 0]
     # all-zero (inadmissible) rows get a finite placeholder

@@ -90,7 +90,7 @@ def recursive_bellman_L(m, spec, v):
     risk = successor_risk(m, spec, v)
     q = np.where(m.admissible_mask, m.reward + m.discount * risk, -np.inf)
     idx = np.argmax(q, axis=1)
-    policy = StationaryPolicy({s: m.actions[idx[i]] for i, s in enumerate(m.states)})
+    policy = StationaryPolicy.from_indices(m, idx)
     return q[np.arange(m.n_states), idx], policy
 
 
@@ -106,8 +106,9 @@ def _sweep_budget(beta, stop, delta_1, max_iters):
     return budget if max_iters is None else min(budget, max_iters)
 
 
-def _iterate(m, sweep, tol, max_iters=None, v0=None):
-    """Contraction iteration with the a-posteriori bound beta*||dv||/(1-beta).
+def _iterate(m, sweep, tol, max_iters=None):
+    """Contraction iteration from the zero function with the a-posteriori
+    bound beta*||dv||/(1-beta).
 
     The sweep budget follows from the first sweep's change (see
     :func:`_sweep_budget`); an explicit ``max_iters`` caps it.  Past the
@@ -116,7 +117,7 @@ def _iterate(m, sweep, tol, max_iters=None, v0=None):
     if not tol > 0.0:
         raise ParameterError(f"tolerance must be > 0, got {tol}")
     beta = m.discount
-    v = np.zeros(m.n_states) if v0 is None else np.asarray(v0, dtype=float)
+    v = np.zeros(m.n_states)
     stop = tol if beta == 0.0 else tol * (1.0 - beta) / beta
     for it in itertools.count(1):
         w, policy = sweep(v)

@@ -150,6 +150,14 @@ class TestSolve:
         assert proc.returncode == 3
         assert "non-finite iterate" in proc.stderr
 
+    def test_ergodic_bad_tolerance_is_a_parameter_error(self, capsys, invariant_path):
+        code, out, err = run(capsys, ["solve", "--model", invariant_path,
+                                      "--criterion", "ergodic_entropic", "--gamma", "1.0",
+                                      "--tol", "-1"])
+        assert code == 4
+        assert out == ""
+        assert "tolerance" in err
+
     def test_ergodic_needs_gamma(self, capsys, invariant_path):
         code, _, err = run(capsys, ["solve", "--model", invariant_path,
                                     "--criterion", "ergodic_entropic"])

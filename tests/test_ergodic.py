@@ -86,6 +86,15 @@ class TestOptimality:
             assert sol.xi <= best + 1e-10
             assert sol.xi == pytest.approx(best, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma", [200.0, 1000.0, 1e5])
+    def test_policy_value_at_large_gamma(self, invariant_model, gamma):
+        # rounding of gamma * c floors the relative residual above 1e-13 here;
+        # the closed form is (1/gamma) ln((1 + e^gamma) / 2)
+        f = enumerate_policies(invariant_model)[0]
+        xi_f, _ = ergodic_policy_value(invariant_model, f, gamma)
+        exact = 1.0 + math.log1p(math.exp(-gamma)) / gamma - math.log(2.0) / gamma
+        assert xi_f == pytest.approx(exact, abs=1e-14)
+
     def test_policy_value_against_dense_eig(self):
         rng = np.random.default_rng(43)
         for _ in range(5):
@@ -144,6 +153,20 @@ class TestPreconditions:
         with pytest.raises(IterationLimitError) as exc:
             ergodic_policy_value(invariant_model, first_admissible_policy(invariant_model), 1e308)
         assert exc.value.iterations <= 3
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, invariant_model, tol):
+        with pytest.raises(ParameterError):
+            ergodic_rvi(invariant_model, 1.0, tol=tol)
+
+    def test_rounding_cycle_stops_at_once(self):
+        # at gamma = 1e5 the iterates alternate between two float vectors whose
+        # residuals stay above 1e-10: the repeat stops the run, not 10^6 sweeps
+        m = random_mdp(np.random.default_rng(9), n_states=4, with_costs=True,
+                       reward_scale=10.0)
+        with pytest.raises(IterationLimitError, match="stalled") as exc:
+            ergodic_rvi(m, 1e5, tol=1e-10)
+        assert exc.value.iterations <= 100
 
     def test_reducible_chain_rejected(self):
         m = FiniteMdp(

@@ -227,6 +227,22 @@ class TestAverageReward:
             average_reward_rvi(m)
         assert exc.value.iterations <= 3
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, invariant_model, tol):
+        for solve in (average_reward_rvi, average_cost_rvi):
+            with pytest.raises(ParameterError):
+                solve(invariant_model, tol=tol)
+
+    def test_unreachable_tolerance_stops_at_the_float_cycle(self):
+        # the residual floor is about 1e-16 here: once an iterate recurs, no
+        # later iterate is new, so the run raises instead of spinning 10^6 times
+        rng = np.random.default_rng(14)
+        random_mdp(rng, 5, 3, with_costs=True)
+        m = random_mdp(rng, 5, 3, with_costs=True)
+        with pytest.raises(IterationLimitError, match="stalled") as exc:
+            average_reward_rvi(m, tol=1e-300)
+        assert exc.value.iterations <= 1000
+
     def test_average_cost_side(self, invariant_model):
         sol = average_cost_rvi(invariant_model, tol=1e-10)
         assert sol.gain == pytest.approx(0.5, abs=1e-9)
