@@ -15,7 +15,7 @@ import sys
 
 from . import fixtures as fixture_mod
 from .augmented import default_grid, entropic_total, solve_total_oce
-from .ergodic import ergodic_rvi
+from .ergodic import ergodic_rvi, rounding_floor
 from .errors import (
     ChainStructureError,
     IterationLimitError,
@@ -29,7 +29,8 @@ from .errors import (
 from .mdp import StagePolicy, StationaryPolicy, first_admissible_policy, load, save
 from .neutral import value_iteration
 from .oce import UtilitySpec
-from .recursive import entropic_fast_path, solve_recursive
+# solve_recursive: no longer called here, but wrapped by name in bench/tracing.py
+from .recursive import entropic_fast_path, policy_iteration_recursive, solve_recursive  # noqa: F401
 from .simulate import estimate, required_horizon, rollout
 
 CRITERIA = ("risk_neutral", "recursive_oce", "total_oce", "ergodic_entropic")
@@ -102,7 +103,7 @@ def _solve_one(m, criterion, args):
         spec = _utility_from_args(args)
         if spec.kind == "entropic":
             return entropic_fast_path(m, spec.gamma, tol=args.tol)
-        return solve_recursive(m, spec, tol=args.tol)
+        return policy_iteration_recursive(m, spec, tol=args.tol)
     if criterion == "total_oce":
         spec = _utility_from_args(args)
         if spec.kind == "entropic":
@@ -115,7 +116,10 @@ def _solve_one(m, criterion, args):
         gamma = getattr(args, "gamma", None)
         if gamma is None:
             raise ParameterError("ergodic_entropic needs --gamma")
-        sol = ergodic_rvi(m, gamma, tol=min(args.tol, 1e-10),
+        tol = min(args.tol, 1e-10)
+        if tol > 0.0 and m.cost is not None:  # a tolerance <= 0 is refused by the solver
+            tol = max(tol, rounding_floor(gamma, m.cost))
+        sol = ergodic_rvi(m, gamma, tol=tol,
                           reference_state=getattr(args, "reference_state", None))
         return sol.report(gamma)
     raise ParameterError(f"unknown criterion {criterion!r}")

@@ -151,6 +151,13 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
         residual, MAX_ITERS)
 
 
+def rounding_floor(gamma, cost):
+    """16 ulps of the largest exponent gamma * c over ``cost``: the sweep's
+    log terms carry gamma * c, and their rounding floors the relative
+    residual, so no smaller tolerance can be met."""
+    return 16 * np.finfo(float).eps * (gamma * np.max(cost))
+
+
 def ergodic_policy_value(m, policy, gamma):
     """Growth rate (xi_f, W_f) of one stationary policy.
 
@@ -159,15 +166,15 @@ def ergodic_policy_value(m, policy, gamma):
     result of :func:`ergodic_rvi` on a copy of the model in which every state
     admits only the policy's action.  On that copy the precheck is exactly
     the irreducibility test of the policy's chain.  The tolerance is 1e-13,
-    or 16 ulps of the largest exponent gamma * c_f where that is larger: the
-    sweep's log terms carry gamma * c_f, and their rounding floors the
-    relative residual.
+    or the :func:`rounding_floor` of the policy's costs where that is larger.
     """
     idx = policy.indices(m)
     shadow = copy.copy(m)
     shadow.admissible = {s: [policy.choice[s]] for s in m.states}
     shadow.admissible_mask = np.zeros_like(m.admissible_mask)
     shadow.admissible_mask[np.arange(m.n_states), idx] = True
-    top = gamma * np.max(m.cost[np.arange(m.n_states), idx]) if m.cost is not None else 0.0
-    sol = ergodic_rvi(shadow, gamma, tol=max(1e-13, 16 * np.finfo(float).eps * top))
+    tol = 1e-13
+    if m.cost is not None:
+        tol = max(tol, rounding_floor(gamma, m.cost[np.arange(m.n_states), idx]))
+    sol = ergodic_rvi(shadow, gamma, tol=tol)
     return sol.xi, sol.W

@@ -259,11 +259,17 @@ class OceResult:
     objective_evals: int = 0
 
 
+def _cvar_take(p, alpha):
+    """The share of each ascending atom in the worst alpha of its row, and the
+    mass below it."""
+    before = np.cumsum(p, axis=-1) - p
+    return np.minimum(p, np.maximum(alpha - before, 0.0)), before
+
+
 def _cvar_sorted(p, x, spec):
     """-CVaR_alpha per row: the mean of the worst alpha-share of the atoms x,
     attained at the lower alpha-quantile."""
-    before = np.cumsum(p, axis=-1) - p
-    take = np.minimum(p, np.maximum(spec.alpha - before, 0.0))
+    take, before = _cvar_take(p, spec.alpha)
     # the last atom with less than alpha below it; before[..., 0] = 0 < alpha
     eta = x[(before < spec.alpha).sum(axis=-1) - 1]
     return (take * x).sum(axis=-1) / spec.alpha, eta
@@ -298,6 +304,16 @@ def _mean_variance_sorted(p, x, spec):
     return eta + (p * spec.u(x - eta[..., None])).sum(axis=-1), eta
 
 
+def _pwl_parts(spec):
+    """(kinks k_j, slope drops d_j > 0, last slope s, c) of a concave
+    piecewise-linear u written as u(t) = c + s t + sum_j d_j min(t - k_j, 0)."""
+    ts = np.array([t for t, _ in spec.points])
+    us = np.array([u for _, u in spec.points])
+    slopes = np.diff(us) / np.diff(ts)
+    s = slopes[-1]
+    return ts[1:-1], slopes[:-1] - slopes[1:], s, us[-1] - s * ts[-1]
+
+
 def _piecewise_linear_sorted(p, x, spec):
     """Exact sup_eta { eta + E u(X - eta) } per row for a concave piecewise-linear u.
 
@@ -311,11 +327,7 @@ def _piecewise_linear_sorted(p, x, spec):
     maximum over the support sits at a kink x_i - k_j or at an end; the
     candidates are clipped to each row's support.  Memory is rows * n * J.
     """
-    ts = np.array([t for t, _ in spec.points])
-    us = np.array([u for _, u in spec.points])
-    slopes = np.diff(us) / np.diff(ts)
-    kinks, drops, s = ts[1:-1], slopes[:-1] - slopes[1:], slopes[-1]
-    c = us[-1] - s * ts[-1]
+    kinks, drops, s, c = _pwl_parts(spec)
     zero = np.zeros(p.shape[:-1] + (1,))
     F = np.concatenate((zero, np.cumsum(p, axis=-1)), axis=-1)
     M = np.concatenate((zero, np.cumsum(p * x, axis=-1)), axis=-1)
@@ -356,6 +368,39 @@ def _oce_sorted(p, x, spec, log_p=None):
     if spec.kind not in _SORTED_OCE:
         raise UnsupportedUtilityError(f"unknown utility kind {spec.kind!r}")
     return _SORTED_OCE[spec.kind](p, x, spec)
+
+
+def _oce_gradient(p, x, spec, eta, log_p=None):
+    """dS_u/dx_i = p_i u'(x_i - eta*) for every row of :func:`_oce_sorted`, at
+    the eta* it returned: the risk-adjusted ("dual") weights of the rows.
+
+    The envelope theorem gives the gradient, and the first-order condition
+    at eta*, sum_i p_i u'(x_i - eta*) = 1, makes each row sum to 1.  Where u
+    has a kink, u' at an atom on it can be any slope between the two sides;
+    such atoms (the cvar quantile atom, the piecewise-linear atoms within
+    rounding of a kink) take the remainder of their row.  Shapes and atom
+    order are those of :func:`_oce_sorted`, and so is ``log_p``.
+    """
+    if spec.kind == "entropic":  # the tilted kernel p e^{-gamma (x - eta*)}
+        log_p = np.log(p) if log_p is None else log_p
+        return np.exp(log_p - spec.gamma * (x - eta[..., None]))
+    if spec.kind == "cvar":
+        return _cvar_take(p, spec.alpha)[0] / spec.alpha
+    if spec.kind == "mean_variance":
+        return p * np.maximum(0.0, 1.0 - (x - eta[..., None]))
+    if spec.kind != "piecewise_linear":
+        raise UnsupportedUtilityError(f"unknown utility kind {spec.kind!r}")
+    kinks, drops, s, _ = _pwl_parts(spec)
+    # (..., n, J): where each atom sits against each kink, eta* + k_j
+    gap = (x - eta[..., None])[..., None] - kinks
+    on = np.abs(gap) <= 8 * np.finfo(float).eps * (
+        np.abs(x)[:, None] + np.abs(kinks) + np.abs(eta)[..., None, None])
+    right = p * (s + (drops * ((gap < 0.0) & ~on)).sum(axis=-1))  # p u'_+
+    extra = p * (drops * on).sum(axis=-1)  # p (u'_- - u'_+), on a kink only
+    room = extra.sum(axis=-1, keepdims=True)
+    share = np.clip((1.0 - right.sum(axis=-1, keepdims=True))
+                    / np.where(room > 0.0, room, 1.0), 0.0, 1.0)
+    return right + share * extra
 
 
 def _objective(dist, spec, eta):

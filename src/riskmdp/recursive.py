@@ -19,6 +19,14 @@ call of the sorted OCE layer in :mod:`riskmdp.oce`, the same code that
 * cvar, mean_variance, piecewise_linear: V is sorted once per sweep, and the
   kernel rows, permuted to that order, are the layer's rows.
 
+The solver, :func:`policy_iteration_recursive`, is Newton's method on the
+same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
+weights Q[x, y] = q(y|x,a) u'(V(y) - eta*), and each step solves
+(I - beta Q_f) dV = LV - V for the greedy f.  It takes a few steps where
+value iteration (:func:`solve_recursive`, its verification path) takes
+hundreds of sweeps at beta near 1.  :func:`policy_evaluation_recursive` is
+the same loop with f held fixed and reads the policy's kernel rows only.
+
 The per-row path, :func:`push_forward` followed by :func:`~riskmdp.oce.oce`,
 stays as a reference for tests.
 """
@@ -33,7 +41,7 @@ import numpy as np
 from .errors import IterationLimitError, ParameterError
 from .mdp import StationaryPolicy, value_dict
 # oce: the per-row reference of the tests, wrapped by name in bench/tracing.py
-from .oce import DiscreteDistribution, UtilitySpec, _oce_sorted, oce  # noqa: F401
+from .oce import DiscreteDistribution, UtilitySpec, _oce_gradient, _oce_sorted, oce  # noqa: F401
 from .report import SolveReport
 
 # sweeps allowed past the contraction bound, for rounding near the stop level
@@ -81,17 +89,39 @@ def successor_risk(m, spec, v):
     return np.where(m.admissible_mask, risk, 0.0)
 
 
+def _greedy(m, risk):
+    """max_a { r(x,a) + beta * risk(x,a) } per state, and the first maximizing
+    action index in declared order; inadmissible actions are masked out."""
+    q = np.where(m.admissible_mask, m.reward + m.discount * risk, -np.inf)
+    idx = np.argmax(q, axis=1)
+    return q[np.arange(m.n_states), idx], idx
+
+
 def recursive_bellman_L(m, spec, v):
     """One sweep of the nested-risk operator.  Returns (Lv, argmax policy).
 
     Ties go to the first action in declared order; inadmissible actions are
     masked out.
     """
-    risk = successor_risk(m, spec, v)
-    q = np.where(m.admissible_mask, m.reward + m.discount * risk, -np.inf)
-    idx = np.argmax(q, axis=1)
-    policy = StationaryPolicy.from_indices(m, idx)
-    return q[np.arange(m.n_states), idx], policy
+    lv, idx = _greedy(m, successor_risk(m, spec, v))
+    return lv, StationaryPolicy.from_indices(m, idx)
+
+
+def _policy_risk(m, spec, idx, v):
+    """S_u(v(X')) over the kernel rows (x, idx[x]) only, and the dual kernel
+    Q[x, y] = dS_u/dv(y) of each of them (:func:`~riskmdp.oce._oce_gradient`)."""
+    v = np.asarray(v, dtype=float)
+    rows = np.arange(m.n_states)
+    if spec.kind == "entropic":
+        log_p = m.log_kernel[rows, idx]
+        risk, eta = _oce_sorted(None, v, spec, log_p=log_p)
+        return risk, _oce_gradient(None, v, spec, eta, log_p=log_p)
+    order = np.argsort(v, kind="stable")
+    p, x = m.kernel[rows, idx][:, order], v[order]
+    risk, eta = _oce_sorted(p, x, spec)
+    dual = np.empty_like(p)
+    dual[:, order] = _oce_gradient(p, x, spec, eta)
+    return risk, dual
 
 
 def _sweep_budget(beta, stop, delta_1, max_iters):
@@ -135,7 +165,8 @@ def _iterate(m, sweep, tol, max_iters=None):
 
 
 def solve_recursive(m, spec, tol=1e-9, max_iters=None):
-    """Fixed point of L with a stationary argmax policy attached."""
+    """Fixed point of L with a stationary argmax policy attached, by value
+    iteration: the verification path of :func:`policy_iteration_recursive`."""
     m.require_valid()
     v, policy, it, residual, bound = _iterate(
         m, lambda v: recursive_bellman_L(m, spec, v), tol, max_iters)
@@ -150,29 +181,109 @@ def solve_recursive(m, spec, tol=1e-9, max_iters=None):
     )
 
 
+def _newton(m, sweep, tol, max_iters):
+    """Safeguarded Newton iteration for the fixed point of a sweep T, from 0.
+
+    ``sweep(v)`` returns (Tv, action index per state, Q) with Q the dual
+    kernel of the chosen rows, the gradient of T / beta at v.  A step tries
+    w = v + (I - beta Q)^-1 (Tv - v) and keeps it if ||Tw - w|| <= beta
+    ||Tv - v||, the most a plain sweep can leave; otherwise it takes Tv and
+    counts as safeguarded.  Tw is the next step's sweep, so only a
+    safeguarded step costs a sweep more.  The residual shrinks by beta per
+    step at least, which gives the step budget of :func:`_sweep_budget`; an
+    explicit ``max_iters`` caps it.  The loop stops at ||Tv - v|| <= tol (1 -
+    beta) / beta and returns (Tv, idx, steps, residual, bound, safeguarded):
+    the bound beta ||Tv - v|| / (1 - beta) holds for Tv, and the residual
+    of Tv is that of one more, real sweep.  beta = 0 takes one sweep.
+    """
+    if not tol > 0.0:
+        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    beta = m.discount
+    stop = tol * (1.0 - beta) / beta if beta > 0.0 else math.inf
+
+    def visit(v):
+        tv, idx, dual = sweep(v)
+        return v, tv, idx, dual, float(np.max(np.abs(tv - v)))
+
+    v, tv, idx, dual, res = visit(np.zeros(m.n_states))
+    steps = safeguarded = 0
+    while True:
+        if not math.isfinite(res):
+            raise IterationLimitError("policy iteration produced a non-finite iterate",
+                                      res, steps)
+        if res <= stop:
+            break
+        if steps == 0:
+            budget = _sweep_budget(beta, stop, res, max_iters)
+        if steps >= budget:
+            raise IterationLimitError("policy iteration did not converge", res, steps)
+        steps += 1
+        trial = visit(v + np.linalg.solve(np.eye(m.n_states) - beta * dual, tv - v))
+        if not trial[-1] <= beta * res:  # NaN fails too
+            safeguarded += 1
+            trial = visit(tv)
+        v, tv, idx, dual, res = trial
+    if beta == 0.0:
+        return tv, idx, steps, 0.0, 0.0, safeguarded
+    residual = float(np.max(np.abs(sweep(tv)[0] - tv)))
+    return tv, idx, steps, residual, beta * res / (1.0 - beta), safeguarded
+
+
+def _greedy_sweep(m, spec, v):
+    """Lv, its argmax actions and their dual kernel."""
+    lv, idx = _greedy(m, successor_risk(m, spec, v))
+    return lv, idx, _policy_risk(m, spec, idx, v)[1]
+
+
+def policy_iteration_recursive(m, spec, tol=1e-9, max_iters=None):
+    """Fixed point of L by policy iteration whose evaluation step is one
+    Newton step on the dual kernel of the greedy policy (see :func:`_newton`).
+
+    Puterman & Brumelle (Math. Oper. Res. 1979) show that policy iteration
+    is Newton's method; with u(t) = t this is Howard's.  Ruszczynski
+    (Math. Program. 2010) gives the risk-averse form.  ``iterations`` counts
+    Newton steps, and the report says how many were safeguarded.
+    """
+    m.require_valid()
+    v, idx, steps, residual, bound, safeguarded = _newton(
+        m, lambda v: _greedy_sweep(m, spec, v), tol, max_iters)
+    return SolveReport(
+        criterion="recursive_oce",
+        value=value_dict(m, v),
+        policy=dict(StationaryPolicy.from_indices(m, idx).choice),
+        iterations=steps,
+        residual=residual,
+        error_bound=bound,
+        extras={"utility": spec.to_json(), "method": "policy_iteration",
+                "safeguarded": safeguarded},
+    )
+
+
 def entropic_fast_path(m, gamma, tol=1e-9, max_iters=None):
-    """:func:`solve_recursive` with the entropic utility, after checking that
-    gamma * d / (1 - beta) stays in double range; the report says
-    ``fast_path``."""
+    """:func:`policy_iteration_recursive` with the entropic utility, after
+    checking that gamma * d / (1 - beta) stays in double range; the report
+    says ``fast_path``."""
     m.require_valid()
     _check_gamma_range(m, gamma)
-    rep = solve_recursive(m, UtilitySpec.entropic(gamma), tol, max_iters)
-    rep.extras = {"utility": {"type": "entropic", "gamma": gamma}, "fast_path": True}
+    rep = policy_iteration_recursive(m, UtilitySpec.entropic(gamma), tol, max_iters)
+    rep.extras["utility"] = {"type": "entropic", "gamma": gamma}
+    rep.extras["fast_path"] = True
     return rep
 
 
 def _policy_sweep(m, spec, idx, v):
-    """L_f v for the action index per state ``idx``."""
-    rows = np.arange(m.n_states)
-    return m.reward[rows, idx] + m.discount * successor_risk(m, spec, v)[rows, idx]
+    """L_f v for the action index per state ``idx``, with idx and the dual
+    kernel of f: the sweep of :func:`_newton` with f held fixed."""
+    risk, dual = _policy_risk(m, spec, idx, v)
+    return m.reward[np.arange(m.n_states), idx] + m.discount * risk, idx, dual
 
 
 def policy_evaluation_recursive(m, spec, policy, tol=1e-9, max_iters=None):
-    """Fixed point of L_f (no maximization) for a stationary policy."""
+    """Fixed point of L_f (no maximization) for a stationary policy: the
+    Newton loop of :func:`policy_iteration_recursive` with f held fixed."""
     m.require_valid()
     idx = policy.indices(m)
-    v, _, _, _, _ = _iterate(
-        m, lambda v: (_policy_sweep(m, spec, idx, v), policy), tol, max_iters)
+    v = _newton(m, lambda v: _policy_sweep(m, spec, idx, v), tol, max_iters)[0]
     return value_dict(m, v)
 
 
@@ -182,5 +293,5 @@ def n_stage_value(m, spec, stage_policy, n_stages):
     m.require_valid()
     v = np.zeros(m.n_states)
     for k in reversed(range(n_stages)):
-        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v)
+        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v)[0]
     return value_dict(m, v)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -12,9 +11,10 @@ class SolveReport:
     """Value table, policy, and convergence diagnostics of one solve.
 
     ``value`` and ``policy`` are keyed by state id in declared order.
-    ``extras`` carries criterion-specific fields (gain/bias/rho for the
-    ergodic criterion; eta_star/sandwich_width/n_trunc/stage_policy for the
-    total-reward criterion) and is flattened into the JSON output.
+    ``extras`` carries criterion-specific fields (method/safeguarded for the
+    recursive criterion; gain/bias/rho for the ergodic criterion;
+    eta_star/sandwich_width/n_trunc/stage_policy for the total-reward
+    criterion) and is flattened into the JSON output.
     """
 
     criterion: str
@@ -38,13 +38,23 @@ class SolveReport:
         return out
 
     def to_json(self):
-        # joins the encoder's chunks in batches: json.dumps holds them all at
-        # once, several times the text of a long stage policy
-        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(self.to_dict())
-        parts = []
-        while part := "".join(itertools.islice(chunks, 8192)):
-            parts.append(part)
-        return "".join(parts) + "\n"
+        """The report as indented JSON, with each rule of a stage policy on one
+        line: one line per state would make a long stage policy most of the
+        text.  The pieces are joined once, so the encode holds about twice
+        the text at its peak."""
+        indented = json.JSONEncoder(indent=2, allow_nan=False)
+        flat = json.JSONEncoder(allow_nan=False)
+        pieces = []
+        for key, val in self.to_dict().items():
+            pieces.append(("{" if not pieces else ",") + f"\n  {indented.encode(key)}: ")
+            if key == "stage_policy" and val:
+                pieces.extend(f"{',' if i else '['}\n    {flat.encode(rule)}"
+                              for i, rule in enumerate(val))
+                pieces.append("\n  ]")
+            else:
+                pieces.append(indented.encode(val).replace("\n", "\n  "))
+        pieces.append("\n}\n")
+        return "".join(pieces)
 
     def to_tsv(self):
         lines = ["state\tvalue\taction"]

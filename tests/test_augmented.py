@@ -343,3 +343,24 @@ class TestReconstruction:
         from riskmdp.errors import ParameterError
         with pytest.raises(ParameterError):
             reconstruct_policy_action(sol, [("2", "b1")], "1")
+
+
+class TestReportLayout:
+    def test_one_line_per_stage_rule(self, jaquette):
+        import json
+        rep = entropic_total(jaquette, 1.0).report()
+        text = rep.to_json()
+        assert json.loads(text) == json.loads(json.dumps(rep.to_dict()))
+        assert list(json.loads(text)) == list(rep.to_dict())
+        rules = rep.extras["stage_policy"]
+        lines = text.splitlines()
+        start = lines.index('  "stage_policy": [')
+        assert lines[start + 1:start + 2 + len(rules)] == (
+            [f"    {json.dumps(r)}," for r in rules[:-1]] + [f"    {json.dumps(rules[-1])}", "  ]"])
+
+    def test_other_reports_keep_the_indented_layout(self, jaquette):
+        import json
+        total = solve_total_oce(jaquette, UtilitySpec.cvar(0.2)).report()
+        for rep in (value_iteration(jaquette), total):
+            rep.extras.pop("stage_policy", None)
+            assert rep.to_json() == json.dumps(rep.to_dict(), indent=2) + "\n"

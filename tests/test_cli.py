@@ -321,3 +321,42 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_recursive_runs_policy_iteration(capsys, model_path):
+    from riskmdp.oce import UtilitySpec
+    from riskmdp.recursive import solve_recursive
+    code, out, _ = run(capsys, ["solve", "--model", model_path, "--criterion", "recursive_oce",
+                                "--utility", '{"type": "cvar", "alpha": 0.2}'])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["method"], rep["safeguarded"]) == ("policy_iteration", 0)
+    vi = solve_recursive(fixtures.jaquette(), UtilitySpec.cvar(0.2))
+    assert rep["policy"] == vi.policy
+    for s, v in vi.value.items():
+        assert abs(rep["value"][s] - v) <= vi.error_bound + rep["error_bound"] + 1e-12
+
+
+@pytest.mark.parametrize("model, gamma", [("invariant", "1e7"), ("random", "1e5")])
+def test_ergodic_tolerance_at_the_rounding_floor(capsys, tmp_path, invariant_path, model, gamma):
+    # min(--tol, 1e-10) lies below the rounding of gamma * c in the log sweep
+    # here, where the iteration can only stall; the floor lets it stop
+    import numpy as np
+    from conftest import random_mdp
+    from riskmdp.ergodic import ergodic_policy_value
+    from riskmdp.mdp import StationaryPolicy
+    m = random_mdp(np.random.default_rng(9), n_states=4, with_costs=True, reward_scale=10.0)
+    path = invariant_path if model == "invariant" else str(tmp_path / "random.json")
+    if model == "random":
+        save(m, path)
+    code, out, err = run(capsys, ["solve", "--model", path, "--criterion", "ergodic_entropic",
+                                  "--gamma", gamma])
+    assert code == 0, err
+    rep = json.loads(out)
+    g = float(gamma)
+    if model == "invariant":  # xi = (1/gamma) ln((1 + e^gamma) / 2)
+        assert rep["gain"] == pytest.approx(1.0 + (math.log1p(math.exp(-g)) - math.log(2.0)) / g,
+                                            abs=1e-12)
+    else:
+        xi, _ = ergodic_policy_value(m, StationaryPolicy(rep["policy"]), g)
+        assert rep["gain"] == pytest.approx(xi, abs=1e-12)

@@ -6,15 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from riskmdp import fixtures
 from riskmdp.errors import IterationLimitError, ParameterError
-from riskmdp.mdp import FiniteMdp, StagePolicy
+from riskmdp.mdp import FiniteMdp, StagePolicy, StationaryPolicy
 from riskmdp.neutral import bellman_T, value_iteration
 from riskmdp.oce import UtilitySpec, oce_generic
 from riskmdp.recursive import (
     _iterate,
+    _policy_risk,
     entropic_fast_path,
     n_stage_value,
     oce,
     policy_evaluation_recursive,
+    policy_iteration_recursive,
     push_forward,
     recursive_bellman_L,
     solve_recursive,
@@ -410,3 +412,179 @@ class TestSweepBudget:
     def test_tolerance_must_be_positive(self, jaquette):
         with pytest.raises(ParameterError):
             solve_recursive(jaquette, UtilitySpec.cvar(0.3), tol=0.0)
+
+
+def column_choices(m):
+    """One action index per state for each action column: the column where
+    it is admissible, else the state's first admissible action."""
+    first = np.argmax(m.admissible_mask, axis=1)
+    return [np.where(m.admissible_mask[:, j], j, first) for j in range(m.n_actions)]
+
+
+@st.composite
+def smooth_cases(draw):
+    """A random dense model, a value vector with no ties, a direction and a
+    utility of any kind: with continuous values no atom sits on a kink of u
+    other than the one eta* puts there, so S_u is differentiable at v."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_states = int(rng.integers(1, 7))
+    m = random_mdp(rng, n_states=n_states, n_actions=int(rng.integers(1, 4)),
+                   full_admissible=False)
+    scale = draw(st.sampled_from([0.2, 1.0, 4.0, 20.0]))
+    v = scale * rng.random(n_states)
+    d = rng.uniform(-1.0, 1.0, n_states)
+    kind = draw(st.sampled_from(["entropic", "cvar", "mean_variance", "piecewise_linear"]))
+    if kind == "entropic":
+        spec = UtilitySpec.entropic(float(rng.uniform(0.05, 3.0)))
+    elif kind == "cvar":
+        spec = UtilitySpec.cvar(float(rng.uniform(0.01, 0.99)))
+    elif kind == "mean_variance":
+        spec = UtilitySpec.mean_variance()
+    else:  # the shape of concave_pwl, with breakpoints that never nearly meet
+        t1, t2, r1, r2 = scale * np.concatenate([np.sort(rng.uniform(0.05, 1.0, 2))
+                                                 for _ in range(2)])
+        s2 = rng.uniform(1.0, 3.0)
+        s1, s3 = s2 + rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)
+        s4 = s3 * rng.random()
+        spec = UtilitySpec.piecewise_linear([
+            (-t2, -s2 * t1 - s1 * (t2 - t1)), (-t1, -s2 * t1), (0.0, 0.0),
+            (r1, s3 * r1), (r2, s3 * r1 + s4 * (r2 - r1))])
+    return m, v, d, spec
+
+
+class TestDualKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(layer_cases())
+    def test_rows_are_distributions(self, case):
+        m, v, spec = case
+        for idx in column_choices(m):
+            _, dual = _policy_risk(m, spec, idx, v)
+            assert dual.shape == (m.n_states, m.n_states)
+            assert np.all(dual >= 0.0)
+            assert np.all(dual[m.kernel[np.arange(m.n_states), idx] == 0.0] == 0.0)
+            assert np.max(np.abs(dual.sum(axis=1) - 1.0)) <= 1e-12, (spec, v, dual)
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_cases())
+    def test_is_the_gradient_of_the_successor_risk(self, case):
+        # (S_u(v + eps d) - S_u(v)) / eps -> Q d: the error is O(eps) for the
+        # smooth kinds and 0 for the piecewise-linear ones once eps |d| stays
+        # inside the gaps between atoms and kinks
+        m, v, d, spec = case
+        for idx in column_choices(m):
+            risk, dual = _policy_risk(m, spec, idx, v)
+            want = dual @ d
+            errs = []
+            for eps in (1e-4, 1e-5, 1e-6):
+                moved, _ = _policy_risk(m, spec, idx, v + eps * d)
+                errs.append(np.max(np.abs((moved - risk) / eps - want)))
+            assert errs[-1] <= 1e-6 * (1.0 + np.max(np.abs(v))), (spec, errs)
+            assert errs[-1] <= errs[0] + 1e-8
+
+
+class TestPolicyIteration:
+    def test_matches_value_iteration(self):
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            m = random_mdp(rng, n_states=int(rng.integers(2, 12)),
+                           n_actions=int(rng.integers(1, 4)),
+                           beta=float(rng.uniform(0.3, 0.97)),
+                           reward_scale=float(rng.choice([0.5, 1.0, 4.0])),
+                           full_admissible=False)
+            for spec in KINDS:
+                vi = solve_recursive(m, spec, tol=1e-9)
+                pi = policy_iteration_recursive(m, spec, tol=1e-9)
+                assert pi.policy == vi.policy, (trial, spec)
+                # each is within its own bound of the fixed point; the Newton
+                # stop leaves up to 1.6e-10 here, the sweeps up to 9.7e-10
+                for s in m.states:
+                    assert abs(pi.value[s] - vi.value[s]) <= (
+                        vi.error_bound + pi.error_bound + 1e-12)
+                assert pi.residual <= 1e-9 * (1.0 - m.discount)
+                assert pi.error_bound <= 1e-9
+                assert pi.extras["method"] == "policy_iteration"
+                assert pi.iterations < vi.iterations
+
+    def test_fast_path_reports_newton_steps(self, jaquette):
+        rep = entropic_fast_path(jaquette, 1.0, tol=1e-10)
+        assert rep.extras == {"utility": {"type": "entropic", "gamma": 1.0},
+                              "method": "policy_iteration", "safeguarded": 0,
+                              "fast_path": True}
+        assert rep.value["1"] == pytest.approx(JAQUETTE_NESTED_V1, abs=1e-12)
+        assert 1 <= rep.iterations <= 5
+
+    @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
+    def test_bad_step_is_safeguarded(self, monkeypatch, spec):
+        # Q = I makes the step v + (Lv - v) / (1 - beta), an overshoot the
+        # residual test must refuse; the plain sweeps then still converge
+        import riskmdp.recursive as rec
+        m = random_mdp(np.random.default_rng(32), n_states=5, n_actions=2, beta=0.8)
+        want = solve_recursive(m, spec, tol=1e-10)
+        real = rec._policy_risk
+        monkeypatch.setattr(rec, "_policy_risk",
+                            lambda m, spec, idx, v: (real(m, spec, idx, v)[0], np.eye(m.n_states)))
+        rep = policy_iteration_recursive(m, spec, tol=1e-10)
+        assert rep.extras["safeguarded"] >= 1
+        assert rep.policy == want.policy
+        for s in m.states:
+            assert rep.value[s] == pytest.approx(want.value[s], abs=1e-9)
+
+    def test_beta_zero_takes_one_sweep(self, monkeypatch):
+        import riskmdp.recursive as rec
+        calls = []
+        real = rec.successor_risk
+        monkeypatch.setattr(rec, "successor_risk",
+                            lambda *a: calls.append(1) or real(*a))
+        m = FiniteMdp.from_dict({**fixtures.jaquette().to_dict(), "discount": 0.0})
+        rep = policy_iteration_recursive(m, UtilitySpec.cvar(0.2))
+        assert len(calls) == 1
+        assert rep.value == {"1": 1.0, "2": 0.0, "3": 8.0}
+        assert rep.policy == {"1": "b2", "2": "a", "3": "a"}
+        assert (rep.iterations, rep.residual, rep.error_bound) == (0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, jaquette, tol):
+        with pytest.raises(ParameterError):
+            policy_iteration_recursive(jaquette, UtilitySpec.cvar(0.3), tol=tol)
+        with pytest.raises(ParameterError):
+            policy_evaluation_recursive(jaquette, UtilitySpec.cvar(0.3),
+                                        fixtures.jaquette_policy("g"), tol=tol)
+
+    def test_non_finite_sweep_raises_at_once(self, monkeypatch, jaquette):
+        import riskmdp.recursive as rec
+        calls = []
+        monkeypatch.setattr(rec, "successor_risk",
+                            lambda m, spec, v: calls.append(1) or np.full(m.kernel.shape[:2], np.nan))
+        with pytest.raises(IterationLimitError):
+            policy_iteration_recursive(jaquette, UtilitySpec.cvar(0.3))
+        assert len(calls) == 1
+
+    def test_max_iters_caps_the_steps(self):
+        m = random_mdp(np.random.default_rng(33), n_states=20, n_actions=3, beta=0.95)
+        spec = UtilitySpec.entropic(1.0)
+        steps = policy_iteration_recursive(m, spec).iterations
+        assert steps >= 2
+        with pytest.raises(IterationLimitError):
+            policy_iteration_recursive(m, spec, max_iters=steps - 1)
+        assert policy_iteration_recursive(m, spec, max_iters=steps).iterations == steps
+
+
+class TestPolicyEvaluation:
+    def test_reads_only_the_policy_rows(self, monkeypatch):
+        import riskmdp.recursive as rec
+
+        def table(*args):
+            raise AssertionError("evaluated the whole (state, action) table")
+
+        rng = np.random.default_rng(34)
+        m = random_mdp(rng, n_states=6, n_actions=3, beta=0.9, full_admissible=False)
+        first = np.argmax(m.admissible_mask, axis=1)
+        policy = StationaryPolicy.from_indices(m, first)
+        for spec in KINDS:
+            want, _, _, _, _ = _iterate(
+                m, lambda v: (rec._policy_sweep(m, spec, first, v)[0], None), 1e-12)
+            monkeypatch.setattr(rec, "successor_risk", table)
+            got = policy_evaluation_recursive(m, spec, policy, tol=1e-12)
+            monkeypatch.undo()
+            for si, s in enumerate(m.states):
+                assert got[s] == pytest.approx(want[si], abs=1e-11)
