@@ -38,23 +38,18 @@ class SolveReport:
         return out
 
     def to_json(self):
-        """The report as indented JSON, with each rule of a stage policy on one
-        line: one line per state would make a long stage policy most of the
-        text.  The pieces are joined once, so the encode holds about twice
-        the text at its peak."""
-        indented = json.JSONEncoder(indent=2, allow_nan=False)
-        flat = json.JSONEncoder(allow_nan=False)
-        pieces = []
-        for key, val in self.to_dict().items():
-            pieces.append(("{" if not pieces else ",") + f"\n  {indented.encode(key)}: ")
-            if key == "stage_policy" and val:
-                pieces.extend(f"{',' if i else '['}\n    {flat.encode(rule)}"
-                              for i, rule in enumerate(val))
-                pieces.append("\n  ]")
-            else:
-                pieces.append(indented.encode(val).replace("\n", "\n  "))
-        pieces.append("\n}\n")
-        return "".join(pieces)
+        """The report as JSON with indent 2, except that each rule of a stage
+        policy takes one line: one line per state would make a long stage
+        policy most of the text.  The rules are joined into one string and
+        spliced in; at its peak the encode holds about three times the text."""
+        out = self.to_dict()
+        rules = out.get("stage_policy")
+        if not rules:
+            return json.dumps(out, indent=2, allow_nan=False) + "\n"
+        text = json.dumps({**out, "stage_policy": []}, indent=2, allow_nan=False) + "\n"
+        flat = ",\n    ".join(json.dumps(rule, allow_nan=False) for rule in rules)
+        # the one top-level key indented by two spaces
+        return text.replace('\n  "stage_policy": []', f'\n  "stage_policy": [\n    {flat}\n  ]', 1)
 
     def to_tsv(self):
         lines = ["state\tvalue\taction"]
