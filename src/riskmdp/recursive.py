@@ -9,10 +9,11 @@ monotonicity of S_u), so value iteration from the zero function converges and
 the maximizer defines an optimal stationary policy.
 
 Every row (x, a) of one sweep takes S_u over the same atom values V(y) and
-differs only in the weights q(y|x,a).  :func:`successor_risk` uses that shared
-structure and returns the whole (state, action) table of S_u(V(X')) with one
-call of the sorted OCE layer in :mod:`riskmdp.oce`, the same code that
-:func:`~riskmdp.oce.oce` runs on a single law:
+differs only in the weights q(y|x,a).  :func:`_successor_layer` uses that
+shared structure and returns S_u(V(X')) and its eta* for the whole (state,
+action) table, or for one row per state, with one call of the sorted OCE
+layer in :mod:`riskmdp.oce`, the same code that :func:`~riskmdp.oce.oce`
+runs on a single law:
 
 * entropic: a log-sum-exp over the model's cached log kernel, which never
   under- or overflows and needs no order;
@@ -21,7 +22,8 @@ call of the sorted OCE layer in :mod:`riskmdp.oce`, the same code that
 
 The solver, :func:`policy_iteration_recursive`, is Newton's method on the
 same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
-weights Q[x, y] = q(y|x,a) u'(V(y) - eta*), and each step solves
+weights Q[x, y] = q(y|x,a) u'(V(y) - eta*) (:func:`_dual_kernel`, built
+from the sweep's eta* for the greedy rows only), and each step solves
 (I - beta Q_f) dV = LV - V for the greedy f.  It takes a few steps where
 value iteration (:func:`solve_recursive`, its verification path) takes
 hundreds of sweeps at beta near 1.  :func:`policy_evaluation_recursive` is
@@ -73,6 +75,22 @@ def push_forward(m, state_idx, action_idx, v):
     return DiscreteDistribution(uniq, merged / merged.sum())
 
 
+def _successor_layer(m, spec, v, idx=None):
+    """(S_u(v(X')), eta*) over every kernel row (x, a), as two (S, A) tables,
+    or over the rows (x, idx[x]) only when an action index per state is given.
+
+    One call of the sorted OCE layer: a log-sum-exp over the cached log kernel
+    for the entropic kind, which needs no atom order; otherwise v is sorted
+    once and the kernel rows, permuted to that order, are the layer's rows.
+    """
+    v = np.asarray(v, dtype=float)
+    rows = Ellipsis if idx is None else (np.arange(m.n_states), idx)
+    if spec.kind == "entropic":
+        return _oce_sorted(None, v, spec, log_p=m.log_kernel[rows])
+    order = np.argsort(v, kind="stable")
+    return _oce_sorted(m.kernel[rows][..., order], v[order], spec)
+
+
 def successor_risk(m, spec, v):
     """S_u(v(X')), X' ~ q(.|x,a), for every (x, a) at once: an (S, A) table.
 
@@ -80,13 +98,21 @@ def successor_risk(m, spec, v):
     (x, a) up to rounding; inadmissible rows read 0.  Kernel rows are used as
     given, which validation holds to a mass of 1 within 1e-12.
     """
+    return np.where(m.admissible_mask, _successor_layer(m, spec, v)[0], 0.0)
+
+
+def _dual_kernel(m, spec, v, idx, eta):
+    """Q[x, y] = dS_u/dv(y) over the kernel rows (x, idx[x]), at the eta* that
+    :func:`_successor_layer` returned for them: the gradient of the layer,
+    from :func:`~riskmdp.oce._oce_gradient`.  Each row sums to 1."""
     v = np.asarray(v, dtype=float)
-    if spec.kind == "entropic":  # log-sum-exp needs no atom order
-        risk, _ = _oce_sorted(None, v, spec, log_p=m.log_kernel)
-    else:
-        order = np.argsort(v, kind="stable")
-        risk, _ = _oce_sorted(m.kernel[..., order], v[order], spec)
-    return np.where(m.admissible_mask, risk, 0.0)
+    rows = np.arange(m.n_states)
+    if spec.kind == "entropic":
+        return _oce_gradient(None, v, spec, eta, log_p=m.log_kernel[rows, idx])
+    order = np.argsort(v, kind="stable")
+    dual = np.empty((m.n_states, m.n_states))
+    dual[:, order] = _oce_gradient(m.kernel[rows, idx][:, order], v[order], spec, eta)
+    return dual
 
 
 def _greedy(m, risk):
@@ -105,23 +131,6 @@ def recursive_bellman_L(m, spec, v):
     """
     lv, idx = _greedy(m, successor_risk(m, spec, v))
     return lv, StationaryPolicy.from_indices(m, idx)
-
-
-def _policy_risk(m, spec, idx, v):
-    """S_u(v(X')) over the kernel rows (x, idx[x]) only, and the dual kernel
-    Q[x, y] = dS_u/dv(y) of each of them (:func:`~riskmdp.oce._oce_gradient`)."""
-    v = np.asarray(v, dtype=float)
-    rows = np.arange(m.n_states)
-    if spec.kind == "entropic":
-        log_p = m.log_kernel[rows, idx]
-        risk, eta = _oce_sorted(None, v, spec, log_p=log_p)
-        return risk, _oce_gradient(None, v, spec, eta, log_p=log_p)
-    order = np.argsort(v, kind="stable")
-    p, x = m.kernel[rows, idx][:, order], v[order]
-    risk, eta = _oce_sorted(p, x, spec)
-    dual = np.empty_like(p)
-    dual[:, order] = _oce_gradient(p, x, spec, eta)
-    return risk, dual
 
 
 def _sweep_budget(beta, stop, delta_1, max_iters):
@@ -181,61 +190,70 @@ def solve_recursive(m, spec, tol=1e-9, max_iters=None):
     )
 
 
-def _newton(m, sweep, tol, max_iters):
+def _newton(m, spec, sweep, tol):
     """Safeguarded Newton iteration for the fixed point of a sweep T, from 0.
 
-    ``sweep(v)`` returns (Tv, action index per state, Q) with Q the dual
-    kernel of the chosen rows, the gradient of T / beta at v.  A step tries
-    w = v + (I - beta Q)^-1 (Tv - v) and keeps it if ||Tw - w|| <= beta
-    ||Tv - v||, the most a plain sweep can leave; otherwise it takes Tv and
-    counts as safeguarded.  Tw is the next step's sweep, so only a
-    safeguarded step costs a sweep more.  The residual shrinks by beta per
-    step at least, which gives the step budget of :func:`_sweep_budget`; an
-    explicit ``max_iters`` caps it.  The loop stops at ||Tv - v|| <= tol (1 -
-    beta) / beta and returns (Tv, idx, steps, residual, bound, safeguarded):
-    the bound beta ||Tv - v|| / (1 - beta) holds for Tv, and the residual
-    of Tv is that of one more, real sweep.  beta = 0 takes one sweep.
+    ``sweep(v)`` returns Tv, the action index per state of the kernel rows
+    it chose and their eta*; the :func:`_dual_kernel` of those rows is the
+    gradient of T / beta at v.  A step tries w = v + (I - beta Q)^-1 (Tv - v)
+    and keeps it if ||Tw - w|| <= beta ||Tv - v||, the most a plain sweep can
+    leave; otherwise it takes Tv and counts as safeguarded.  Tw is the next
+    step's sweep, so only a safeguarded step costs a sweep more.  The
+    residual shrinks by beta per step at least, which gives the step budget
+    of :func:`_sweep_budget`.
+
+    The loop takes one more step once ||Tv - v|| <= tol (1 - beta) / beta:
+    from there a Newton step leaves little more than rounding, for one
+    linear solve.  That step is kept only if it passes the same test; a
+    refused one is dropped, with no sweep and no count.  It returns (Tv, idx, steps, residual, bound, safeguarded):
+    the bound beta ||Tv - v|| / (1 - beta) holds for Tv, and the residual of
+    Tv is that of one more, real sweep.  beta = 0 takes one sweep.
     """
     if not tol > 0.0:
         raise ParameterError(f"tolerance must be > 0, got {tol}")
     beta = m.discount
-    stop = tol * (1.0 - beta) / beta if beta > 0.0 else math.inf
 
     def visit(v):
-        tv, idx, dual = sweep(v)
-        return v, tv, idx, dual, float(np.max(np.abs(tv - v)))
+        tv, idx, eta = sweep(v)
+        return v, tv, idx, eta, float(np.max(np.abs(tv - v)))
 
-    v, tv, idx, dual, res = visit(np.zeros(m.n_states))
+    v, tv, idx, eta, res = visit(np.zeros(m.n_states))
+    stop = tol * (1.0 - beta) / beta if beta > 0.0 else math.inf
     steps = safeguarded = 0
+    last = beta == 0.0  # then Tv is the fixed point
     while True:
         if not math.isfinite(res):
             raise IterationLimitError("policy iteration produced a non-finite iterate",
                                       res, steps)
-        if res <= stop:
+        if last:
             break
         if steps == 0:
-            budget = _sweep_budget(beta, stop, res, max_iters)
+            budget = _sweep_budget(beta, stop, max(res, stop), None)
         if steps >= budget:
             raise IterationLimitError("policy iteration did not converge", res, steps)
+        last = res <= stop
         steps += 1
+        dual = _dual_kernel(m, spec, v, idx, eta)
         trial = visit(v + np.linalg.solve(np.eye(m.n_states) - beta * dual, tv - v))
-        if not trial[-1] <= beta * res:  # NaN fails too
+        if trial[-1] <= beta * res:  # NaN fails
+            v, tv, idx, eta, res = trial
+        elif not last:
             safeguarded += 1
-            trial = visit(tv)
-        v, tv, idx, dual, res = trial
+            v, tv, idx, eta, res = visit(tv)
     if beta == 0.0:
-        return tv, idx, steps, 0.0, 0.0, safeguarded
+        return tv, idx, 0, 0.0, 0.0, 0
     residual = float(np.max(np.abs(sweep(tv)[0] - tv)))
     return tv, idx, steps, residual, beta * res / (1.0 - beta), safeguarded
 
 
 def _greedy_sweep(m, spec, v):
-    """Lv, its argmax actions and their dual kernel."""
-    lv, idx = _greedy(m, successor_risk(m, spec, v))
-    return lv, idx, _policy_risk(m, spec, idx, v)[1]
+    """Lv, its argmax actions and their eta*."""
+    risk, eta = _successor_layer(m, spec, v)
+    lv, idx = _greedy(m, np.where(m.admissible_mask, risk, 0.0))
+    return lv, idx, eta[np.arange(m.n_states), idx]
 
 
-def policy_iteration_recursive(m, spec, tol=1e-9, max_iters=None):
+def policy_iteration_recursive(m, spec, tol=1e-9):
     """Fixed point of L by policy iteration whose evaluation step is one
     Newton step on the dual kernel of the greedy policy (see :func:`_newton`).
 
@@ -246,7 +264,7 @@ def policy_iteration_recursive(m, spec, tol=1e-9, max_iters=None):
     """
     m.require_valid()
     v, idx, steps, residual, bound, safeguarded = _newton(
-        m, lambda v: _greedy_sweep(m, spec, v), tol, max_iters)
+        m, spec, lambda v: _greedy_sweep(m, spec, v), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -259,31 +277,31 @@ def policy_iteration_recursive(m, spec, tol=1e-9, max_iters=None):
     )
 
 
-def entropic_fast_path(m, gamma, tol=1e-9, max_iters=None):
+def entropic_fast_path(m, gamma, tol=1e-9):
     """:func:`policy_iteration_recursive` with the entropic utility, after
     checking that gamma * d / (1 - beta) stays in double range; the report
     says ``fast_path``."""
     m.require_valid()
     _check_gamma_range(m, gamma)
-    rep = policy_iteration_recursive(m, UtilitySpec.entropic(gamma), tol, max_iters)
+    rep = policy_iteration_recursive(m, UtilitySpec.entropic(gamma), tol)
     rep.extras["utility"] = {"type": "entropic", "gamma": gamma}
     rep.extras["fast_path"] = True
     return rep
 
 
 def _policy_sweep(m, spec, idx, v):
-    """L_f v for the action index per state ``idx``, with idx and the dual
-    kernel of f: the sweep of :func:`_newton` with f held fixed."""
-    risk, dual = _policy_risk(m, spec, idx, v)
-    return m.reward[np.arange(m.n_states), idx] + m.discount * risk, idx, dual
+    """L_f v for the action index per state ``idx``, with idx and the eta* of
+    f's rows: the sweep of :func:`_newton` with f held fixed."""
+    risk, eta = _successor_layer(m, spec, v, idx)
+    return m.reward[np.arange(m.n_states), idx] + m.discount * risk, idx, eta
 
 
-def policy_evaluation_recursive(m, spec, policy, tol=1e-9, max_iters=None):
+def policy_evaluation_recursive(m, spec, policy, tol=1e-9):
     """Fixed point of L_f (no maximization) for a stationary policy: the
     Newton loop of :func:`policy_iteration_recursive` with f held fixed."""
     m.require_valid()
     idx = policy.indices(m)
-    v = _newton(m, lambda v: _policy_sweep(m, spec, idx, v), tol, max_iters)[0]
+    v = _newton(m, spec, lambda v: _policy_sweep(m, spec, idx, v), tol)[0]
     return value_dict(m, v)
 
 
