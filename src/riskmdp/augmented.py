@@ -1,7 +1,7 @@
 """Certainty equivalent of the total discounted reward via state augmentation.
 
 The target sup_pi S_u(sum_k beta^k r(X_k, A_k)) splits into an outer scalar
-search over the consumption level eta and an inner control problem
+maximization over the consumption level eta and an inner control problem
 
     V(x, y, z) = sup_pi E[ u(z * R + y) ],   R = total discounted reward,
 
@@ -20,7 +20,10 @@ truncation level N with beta^N d/(1-beta) below the tail budget.  Level n
 reads only level n+1, and level N reads the terminal u(y'), so the table is
 computed exactly by one backward pass from level N down to level 0
 (:func:`backward_pass`).  The remaining error is the reported tail +
-interpolation budget.
+interpolation budget.  The table does not depend on eta, and on the
+interpolated grid eta -> eta + V(x, -eta, 1) is piecewise linear with its
+kinks at the grid points, so eta* is an exact pick over eta = 0 and the
+kinks in [0, d/(1-beta)] (:func:`_eta_pick`), not a search.
 
 The sandwich iteration is kept as the verification path
 (:func:`solve_sandwich`): value iteration runs simultaneously from the
@@ -60,8 +63,9 @@ from .report import SolveReport
 class AugmentedGrid:
     """Discretization of the (y, z) coordinates.
 
-    ``y`` is uniform over [-eta_max, d/(1-beta)]; the z levels are beta^n for
-    n = 0..n_trunc.
+    ``y`` is uniform from -d/(1-beta) up to at least d/(1-beta), so the read
+    points y = -eta of eta in [0, d/(1-beta)] lie on it; the z levels are
+    beta^n for n = 0..n_trunc.
     """
 
     y: np.ndarray
@@ -96,22 +100,22 @@ def _tail_error(beta, d, n_trunc):
     return (beta ** (n_trunc + 1)) * (d / (1.0 - beta) if 0.0 < beta < 1.0 else 0.0)
 
 
-def default_grid(m, y_step=None, tail_eps=1e-8, eta_max=None, n_trunc=None):
-    """Grid sized from the model: covers every (y, z) reachable from (-eta, 1)."""
+def default_grid(m, y_step=None, tail_eps=1e-8, n_trunc=None):
+    """Grid sized from the model: covers every (y, z) reachable from (-eta, 1)
+    with eta in [0, d/(1-beta)]."""
     beta = m.discount
     if not (0.0 <= beta < 1.0):
         raise ParameterError(f"total-reward criterion needs beta in [0, 1), got {beta}")
     top = m.reward_bound / (1.0 - beta)
     if top <= 0.0:
         top = 1.0
-    eta_max = top if eta_max is None else float(eta_max)
     step = top / 400.0 if y_step is None else float(y_step)
     if n_trunc is None:
         n_trunc = _truncation_depth(beta, m.reward_bound, tail_eps)
     # ceil so the last point reaches the accumulation bound even when the
     # step does not divide the range
-    n_pts = int(math.ceil((top + eta_max) / step - 1e-9)) + 1
-    y = -eta_max + step * np.arange(n_pts)
+    n_pts = int(math.ceil(2.0 * top / step - 1e-9)) + 1
+    y = -top + step * np.arange(n_pts)
     return AugmentedGrid(y=y, y_step=step, beta=beta, n_trunc=int(n_trunc), tail_eps=tail_eps)
 
 
@@ -138,7 +142,7 @@ def augmented_level(m, spec, grid, n, next_level):
     deepest level, which reads the terminal continuation u(y'), i.e. future
     reward zero, consistent with the lower bound.  y arguments beyond the grid
     top are clamped to the top value, which preserves monotonicity and never
-    affects points reachable from (x0, -eta, 1) with eta in [0, eta_max].
+    affects points reachable from (x0, -eta, 1) with eta in [0, d/(1-beta)].
     """
     ny = grid.y.size
     z = grid.z(n)
@@ -279,27 +283,21 @@ def solve_inner(m, spec, grid, eta, tol=1e-9, x0=None, max_sweeps=None):
     return InnerSolution(val, width, sol.sweeps, sol.monotone_ok, sol.converged, hint)
 
 
-def _eta_search(grid, level0_row, eta_max, eta_step):
-    """Grid scan of eta -> eta + V(x, -eta, 1), then two local refinements.
+def _eta_pick(grid, level0):
+    """Exact maximum of eta -> eta + V(x, -eta, 1) over [0, -y_0], per state.
 
-    A plain grid is used because the outer objective is a supremum of concave
-    functions over policies and need not be unimodal.
+    Linear interpolation makes the objective piecewise linear in eta with its
+    kinks at the grid points eta = -y_j, so the maximum over the interval is
+    at eta = 0 or at one of them.  The candidates run in ascending eta and the
+    first maximum, the smallest maximizer, is taken.  ``level0`` is the
+    (state, y) table of level 0; returns (etas, values), one per state.
     """
-    etas = np.arange(0.0, eta_max + 0.5 * eta_step, eta_step)
-    vals = etas + np.interp(-etas, grid.y, level0_row)
-    i = int(np.argmax(vals))
-    best_eta, best_val = float(etas[i]), float(vals[i])
-    lo = float(etas[max(i - 1, 0)])
-    hi = float(etas[min(i + 1, etas.size - 1)])
-    for _ in range(2):
-        sub = np.linspace(lo, hi, 9)
-        sv = sub + np.interp(-sub, grid.y, level0_row)
-        j = int(np.argmax(sv))
-        if sv[j] > best_val:
-            best_eta, best_val = float(sub[j]), float(sv[j])
-        lo = float(sub[max(j - 1, 0)])
-        hi = float(sub[min(j + 1, sub.size - 1)])
-    return best_eta, best_val
+    kinks = np.flatnonzero(grid.y <= 0.0)[::-1]
+    etas = np.concatenate(([0.0], -grid.y[kinks]))
+    at_zero = [np.interp(0.0, grid.y, row) for row in level0]
+    vals = etas + np.column_stack((at_zero, level0[:, kinks]))
+    best = np.argmax(vals, axis=1)
+    return etas[best], vals[np.arange(best.size), best]
 
 
 @dataclass
@@ -315,7 +313,6 @@ class TotalOceSolution:
     value: float
     eta_star: float
     values_by_state: dict
-    etas_by_state: dict
     stage_policy: StagePolicy
     sandwich_width: float
     sweeps: int
@@ -380,12 +377,12 @@ def _realize_stage_policy(m, grid, argmax, x0_idx, eta_star):
     return StagePolicy(stages=tuple(rules), tail=tail)
 
 
-def solve_total_oce(m, spec, grid=None, x0=None, eta_step=None,
-                    estimate_interp_error=False):
-    """Full two-level solve: one backward pass, then the scalar eta search.
+def solve_total_oce(m, spec, grid=None, x0=None, estimate_interp_error=False):
+    """Full two-level solve: one backward pass, then the exact eta pick.
 
     The extended-space table does not depend on eta (eta only selects where it
-    is read), so one DP serves the whole search and every initial state.
+    is read), so one DP serves the pick of :func:`_eta_pick` for every
+    initial state.
     """
     m.require_valid()
     if grid is None:
@@ -394,28 +391,22 @@ def solve_total_oce(m, spec, grid=None, x0=None, eta_step=None,
     if x0 not in m.state_index:
         raise ParameterError(f"unknown initial state {x0!r}")
     table, argmax, within_bounds = backward_pass(m, spec, grid)
-    eta_max = float(-grid.y[0])
-    step = grid.y_step if eta_step is None else float(eta_step)
-    values = {}
-    etas = {}
-    for si, s in enumerate(m.states):
-        e, v = _eta_search(grid, table[0, si], eta_max, step)
-        values[s] = v
-        etas[s] = e
+    etas, values = _eta_pick(grid, table[0])
     x0_idx = m.state_index[x0]
-    stage_policy = _realize_stage_policy(m, grid, argmax, x0_idx, etas[x0])
+    eta_star = float(etas[x0_idx])
+    stage_policy = _realize_stage_policy(m, grid, argmax, x0_idx, eta_star)
     tail_error = _tail_error(m.discount, m.reward_bound, grid.n_trunc)
     interp_est = None
     if estimate_interp_error:
         coarse = default_grid(m, y_step=2.0 * grid.y_step, tail_eps=grid.tail_eps,
-                              eta_max=eta_max, n_trunc=grid.n_trunc)
+                              n_trunc=grid.n_trunc)
         ctable, _, _ = backward_pass(m, spec, coarse)
-        _, cv = _eta_search(coarse, ctable[0, x0_idx], eta_max, 2.0 * step)
-        interp_est = abs(values[x0] - cv)
+        _, cvalues = _eta_pick(coarse, ctable[0])
+        interp_est = abs(float(values[x0_idx] - cvalues[x0_idx]))
     return TotalOceSolution(
         model=m, spec=spec, grid=grid, table=table, argmax=argmax,
-        x0=x0, value=values[x0], eta_star=etas[x0],
-        values_by_state=values, etas_by_state=etas,
+        x0=x0, value=float(values[x0_idx]), eta_star=eta_star,
+        values_by_state=value_dict(m, values),
         stage_policy=stage_policy,
         sandwich_width=0.0, sweeps=grid.n_levels,
         monotone_ok=within_bounds, tail_error=tail_error,
@@ -491,7 +482,7 @@ class EntropicTotalSolution:
         )
 
 
-def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
+def entropic_total(m, gamma, tail_eps=1e-8):
     """Exact y-free recursion for the entropic total-reward criterion.
 
     Levels run backward from the truncation depth, where the continuation is
@@ -504,8 +495,7 @@ def entropic_total(m, gamma, n_trunc=None, tail_eps=1e-8):
     _check_gamma_range(m, gamma)
     beta = m.discount
     d = m.reward_bound
-    if n_trunc is None:
-        n_trunc = _truncation_depth(beta, d, tail_eps)
+    n_trunc = _truncation_depth(beta, d, tail_eps)
     ns = m.n_states
     spec = UtilitySpec.entropic(gamma)
     values = np.zeros((n_trunc + 1, ns))

@@ -56,7 +56,6 @@ class ErgodicSolution:
     rho: float              # e^{gamma xi}; inf where it overflows, null in the report
     iterations: int
     residual: float
-    ratio_spread: float     # span of the per-state growth logs at the last sweep
 
     def report(self, gamma):
         return SolveReport(
@@ -109,14 +108,11 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
     z = m.state_index[reference_state if reference_state is not None else m.states[0]]
     lam = DAMPING
     lw = anchor = np.zeros(m.n_states)
-    spread = np.inf
     # the sweep at the new lw gives both this iteration's residual and the
     # next iteration's update
     vals = _log_min_sweep(m, gamma, lw)
     for it in range(1, MAX_ITERS + 1):
         ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + vals.min(axis=1))
-        growth = ly - lw
-        spread = float(growth.max() - growth.min())
         lrho_t = ly[z] - lw[z]
         lw_new = ly - ly[z]
         if not np.all(np.isfinite(lw_new)):  # a NaN residual would never stop the loop
@@ -144,10 +140,10 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
             return ErgodicSolution(
                 xi=float(lrho / gamma), h=value_dict(m, h), W=value_dict(m, W),
                 policy=StationaryPolicy.from_indices(m, np.argmin(vals, axis=1)), rho=rho,
-                iterations=it, residual=residual, ratio_spread=spread,
+                iterations=it, residual=residual,
             )
     raise IterationLimitError(
-        f"ergodic RVI did not converge (last ratio spread {spread:.3e})",
+        f"ergodic RVI did not converge (last residual {residual:.3e})",
         residual, MAX_ITERS)
 
 

@@ -256,7 +256,6 @@ class OceResult:
 
     value: float
     eta_star: float
-    objective_evals: int = 0
 
 
 def _cvar_take(p, alpha):
@@ -415,15 +414,13 @@ def _golden_max(dist, spec, lo, hi):
     """Golden-section search for the concave objective on [lo, hi].
 
     The objective is concave in eta because u is concave, so the search is
-    exact up to the bracketing tolerance.  Returns (eta, value, evals).
+    exact up to the bracketing tolerance.  Returns (eta, value).
     """
-    evals = 0
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = _objective(dist, spec, c)[0]
     fd = _objective(dist, spec, d)[0]
-    evals += 2
     while b - a > _GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -433,9 +430,8 @@ def _golden_max(dist, spec, lo, hi):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = _objective(dist, spec, d)[0]
-        evals += 1
     eta = 0.5 * (a + b)
-    return eta, _objective(dist, spec, eta)[0], evals + 1
+    return eta, _objective(dist, spec, eta)[0]
 
 
 def _kink_candidates(dist, spec, lo, hi):
@@ -464,23 +460,22 @@ def oce_generic(dist, spec):
     """
     if dist.is_degenerate:
         v = float(dist.values[0])
-        return OceResult(value=v, eta_star=v, objective_evals=0)
+        return OceResult(value=v, eta_star=v)
     lo, hi = dist.support_min, dist.support_max
-    eta, val, evals = _golden_max(dist, spec, lo, hi)
+    eta, val = _golden_max(dist, spec, lo, hi)
     cands = _kink_candidates(dist, spec, lo, hi)
     cand_vals = _objective(dist, spec, cands)
-    evals += len(cands)
     best = int(np.argmax(cand_vals))
     if cand_vals[best] > val:
         eta, val = cands[best], float(cand_vals[best])
-    return OceResult(value=float(val), eta_star=float(eta), objective_evals=evals)
+    return OceResult(value=float(val), eta_star=float(eta))
 
 
 def oce(dist, spec):
     """Reward-side optimized certainty equivalent S_u(X), one row of :func:`_oce_sorted`."""
     order = np.argsort(dist.values, kind="stable")
     value, eta = _oce_sorted(dist.probs[order], dist.values[order], spec)
-    return OceResult(value=float(value), eta_star=float(eta), objective_evals=1)
+    return OceResult(value=float(value), eta_star=float(eta))
 
 
 def oce_cost(dist, spec):
@@ -491,11 +486,7 @@ def oce_cost(dist, spec):
     result dominates E[X] (convex-side Jensen).
     """
     mirrored = oce(dist.negated(), spec)
-    return OceResult(
-        value=-mirrored.value,
-        eta_star=-mirrored.eta_star,
-        objective_evals=mirrored.objective_evals,
-    )
+    return OceResult(value=-mirrored.value, eta_star=-mirrored.eta_star)
 
 
 def logsumexp(a, axis=None):

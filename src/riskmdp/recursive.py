@@ -133,7 +133,7 @@ def recursive_bellman_L(m, spec, v):
     return lv, StationaryPolicy.from_indices(m, idx)
 
 
-def _sweep_budget(beta, stop, delta_1, max_iters):
+def _sweep_budget(beta, stop, delta_1):
     """Sweeps a contraction needs to bring its change from delta_1 to stop.
 
     Sweep k changes v by at most beta^(k-1) * delta_1.  A non-finite first
@@ -141,17 +141,16 @@ def _sweep_budget(beta, stop, delta_1, max_iters):
     """
     if not math.isfinite(delta_1):
         return 1
-    budget = 1 + math.ceil(math.log(stop / delta_1) / math.log(beta)) + _BUDGET_MARGIN
-    return budget if max_iters is None else min(budget, max_iters)
+    return 1 + math.ceil(math.log(stop / delta_1) / math.log(beta)) + _BUDGET_MARGIN
 
 
-def _iterate(m, sweep, tol, max_iters=None):
+def _iterate(m, sweep, tol):
     """Contraction iteration from the zero function with the a-posteriori
     bound beta*||dv||/(1-beta).
 
     The sweep budget follows from the first sweep's change (see
-    :func:`_sweep_budget`); an explicit ``max_iters`` caps it.  Past the
-    budget the iteration raises :class:`IterationLimitError`.
+    :func:`_sweep_budget`).  Past the budget the iteration raises
+    :class:`IterationLimitError`.
     """
     if not tol > 0.0:
         raise ParameterError(f"tolerance must be > 0, got {tol}")
@@ -167,18 +166,18 @@ def _iterate(m, sweep, tol, max_iters=None):
             residual = float(np.max(np.abs(sweep(v)[0] - v)))
             return v, policy, it, residual, bound
         if it == 1:
-            budget = _sweep_budget(beta, stop, delta, max_iters)
+            budget = _sweep_budget(beta, stop, delta)
         if it >= budget:
             raise IterationLimitError(
                 "value iteration did not converge", delta, it)
 
 
-def solve_recursive(m, spec, tol=1e-9, max_iters=None):
+def solve_recursive(m, spec, tol=1e-9):
     """Fixed point of L with a stationary argmax policy attached, by value
     iteration: the verification path of :func:`policy_iteration_recursive`."""
     m.require_valid()
     v, policy, it, residual, bound = _iterate(
-        m, lambda v: recursive_bellman_L(m, spec, v), tol, max_iters)
+        m, lambda v: recursive_bellman_L(m, spec, v), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -228,7 +227,7 @@ def _newton(m, spec, sweep, tol):
         if last:
             break
         if steps == 0:
-            budget = _sweep_budget(beta, stop, max(res, stop), None)
+            budget = _sweep_budget(beta, stop, max(res, stop))
         if steps >= budget:
             raise IterationLimitError("policy iteration did not converge", res, steps)
         last = res <= stop

@@ -24,6 +24,7 @@ from .mdp import StagePolicy, StationaryPolicy
 from .oce import UtilitySpec, _oce_sorted, logsumexp
 
 _BOOT_TAG = 0xB005E  # appended to the seed for the bootstrap stream
+_BOOT_RESAMPLES = 200
 
 
 def required_horizon(m, truncation_error):
@@ -134,16 +135,16 @@ class EstimateReport:
     truncation_error: float
 
 
-def _bootstrap_se(stat, n, seed, resamples):
+def _bootstrap_se(stat, n, seed):
     """Standard deviation of stat(idx) over seeded resamples idx of range(n)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOT_TAG)))
-    stats = np.empty(resamples)
-    for b in range(resamples):
+    stats = np.empty(_BOOT_RESAMPLES)
+    for b in range(_BOOT_RESAMPLES):
         stats[b] = stat(rng.integers(0, n, n))
     return float(stats.std(ddof=1))
 
 
-def estimate(batch, functional, gamma=None, alpha=None, resamples=200):
+def estimate(batch, functional, gamma=None, alpha=None):
     """Point estimate and standard error of a risk functional of the batch.
 
     Entropic and tail-mean functionals are nonlinear in the empirical law, so
@@ -179,11 +180,11 @@ def estimate(batch, functional, gamma=None, alpha=None, resamples=200):
     else:
         raise ParameterError(f"unknown functional {functional!r}")
     return EstimateReport(functional, stat(np.arange(n)),
-                          _bootstrap_se(stat, n, batch.seed, resamples),
+                          _bootstrap_se(stat, n, batch.seed),
                           batch.replications, batch.horizon, batch.truncation_error)
 
 
-def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None, resamples=200):
+def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None):
     """(1/(gamma n)) ln (1/m) sum_i exp(gamma C_i) over seeded rollouts.
 
     Consistent for the per-policy ergodic entropic cost as n grows, provided
@@ -201,4 +202,4 @@ def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None, resample
         return float((logsumexp(gamma * C[idx]) - math.log(reps)) / (gamma * n))
 
     return EstimateReport("ergodic_entropic", stat(np.arange(reps)),
-                          _bootstrap_se(stat, reps, seed, resamples), reps, n, 0.0)
+                          _bootstrap_se(stat, reps, seed), reps, n, 0.0)

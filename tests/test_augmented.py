@@ -223,7 +223,40 @@ class TestEntropicTotal:
             assert sol.value_dict()["s"] == pytest.approx(2.0, abs=1e-7)
 
 
+def eta_pick_oracle(sol, eta_max):
+    """Largest eta + V(x, -eta, 1) per state over every kink in [0, eta_max]
+    and 10^4 evenly spaced eta, read off the solution's level-0 table."""
+    y = sol.grid.y
+    etas = np.concatenate((-y[(y <= 0.0) & (y >= -eta_max)], np.linspace(0.0, eta_max, 10_000)))
+    return {s: float(np.max(etas + np.interp(-etas, y, sol.table[0, si])))
+            for si, s in enumerate(sol.model.states)}
+
+
+GRID_SPECS = [UtilitySpec.mean_variance(), UtilitySpec.cvar(0.2)]
+
+
 class TestSolveTotalOce:
+    @pytest.mark.parametrize("y_step", [0.3, 0.07])
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=lambda spec: spec.kind)
+    def test_eta_pick_stays_below_the_total(self, spec, y_step):
+        # the total reward is 2 on every path, so no OCE exceeds 2; an eta
+        # read past d/(1-beta) would see the clamped top of the table
+        m = one_state_machine(beta=0.5, reward=1.0)
+        sol = solve_total_oce(m, spec, grid=default_grid(m, y_step=y_step))
+        assert sol.value <= 2.0 + 1e-12
+        assert 0.0 <= sol.eta_star <= 2.0
+        assert abs(sol.value - eta_pick_oracle(sol, 2.0)["s"]) <= 1e-12
+
+    @pytest.mark.parametrize("y_step", [0.03, 0.037])
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=lambda spec: spec.kind)
+    def test_eta_pick_is_the_objective_maximum(self, jaquette, spec, y_step):
+        # neither step divides d/(1-beta) = 16, so the kinks eta = -y_j
+        # are not multiples of the step
+        sol = solve_total_oce(jaquette, spec, grid=default_grid(jaquette, y_step=y_step))
+        want = eta_pick_oracle(sol, jaquette.reward_bound / (1 - jaquette.discount))
+        for s in jaquette.states:
+            assert abs(sol.values_by_state[s] - want[s]) <= 1e-12, s
+
     def test_jaquette_generic_within_budget(self, jaquette):
         sol = solve_total_oce(jaquette, UtilitySpec.entropic(1.0),
                               estimate_interp_error=True)
