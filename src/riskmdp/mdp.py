@@ -67,11 +67,15 @@ class FiniteMdp:
             for s in self.states
         }
 
+        # entries given for inadmissible actions, which validate() refuses:
+        # nothing reads them, and to_dict() would drop them
+        self._inadmissible_entries = []
         self.kernel = np.zeros((ns, na, ns))
         for s, row in transitions.items():
             si = self._sidx(s, "/transitions")
             for a, dist in row.items():
                 ai = self._aidx(a, f"/transitions/{s}")
+                self._note_inadmissible("transitions", s, a)
                 for y, p in dist.items():
                     yi = self._sidx(y, f"/transitions/{s}/{a}")
                     self.kernel[si, ai, yi] = float(p)
@@ -83,6 +87,7 @@ class FiniteMdp:
             si = self._sidx(s, "/rewards")
             for a, r in row.items():
                 self.reward[si, self._aidx(a, f"/rewards/{s}")] = float(r)
+                self._note_inadmissible("rewards", s, a)
 
         self.cost = None
         if costs is not None:
@@ -91,6 +96,12 @@ class FiniteMdp:
                 si = self._sidx(s, "/costs")
                 for a, c in row.items():
                     self.cost[si, self._aidx(a, f"/costs/{s}")] = float(c)
+                    self._note_inadmissible("costs", s, a)
+
+    def _note_inadmissible(self, table, s, a):
+        if not self.admissible_mask[self.state_index[s], self.action_index[a]]:
+            self._inadmissible_entries.append(
+                f"{table}[{s}][{a}]: action {a} is not admissible at state {s}")
 
     def _sidx(self, s, pointer):
         try:
@@ -170,6 +181,7 @@ class FiniteMdp:
                     c = self.cost[si, ai]
                     if not math.isfinite(c) or c < 0.0:
                         out.append(f"costs[{s}][{a}]: must be finite and >= 0, got {c!r}")
+        out.extend(self._inadmissible_entries)
         if for_discounted and not (0.0 <= self.discount < 1.0):
             out.append(f"discount: must lie in [0, 1), got {self.discount!r}")
         return out

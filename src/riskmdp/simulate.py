@@ -5,15 +5,25 @@ realize the controlled chain, estimators evaluate mean / entropic / tail-mean
 functionals of the discounted reward (or the ergodic entropic growth rate of
 the cumulative cost) with bootstrap standard errors.
 
-Determinism contract: replication i draws its uniforms from the generator
-seeded with SeedSequence((seed, i)), so a batch is bit-identical for a fixed
-(seed, model, policy, horizon, replications) regardless of execution order,
-and replications can run in parallel without changing results.
+Determinism contract: replication i draws its uniforms from NumPy's PCG64
+generator seeded with SeedSequence((seed, i)), so a batch is bit-identical for
+a fixed (seed, model, policy, horizon, replications) regardless of execution
+order, and replications can run in parallel without changing results.
+
+Building one SeedSequence and one generator per replication costs more than
+its draws, so the streams are derived a block of replications at a time:
+SeedSequence's hashing of the entropy words (those of seed, then i) runs in
+uint32 array arithmetic, PCG64's seeding turns each row's four state words
+into its 128-bit state and increment, and one reused generator is set to
+each row's state in turn and draws that row.  NumPy's SeedSequence and PCG64
+are the reference: tests/test_simulate.py pins every stream to them bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +65,82 @@ _BLOCK_ELEMENTS = 2**17
 _MIN_BLOCK = 256
 
 
+# NumPy's SeedSequence constants (pool of four uint32 words) and the PCG64
+# multiplier of O'Neill, "PCG" (HMC-CS-2014-0905)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(n):
+    """The little-endian 32-bit words of an int n >= 0, as SeedSequence reads it."""
+    return [n >> 32 * k & _MASK32 for k in range(max(1, (n.bit_length() + 31) // 32))]
+
+
+def _seed_states(seed, lo, hi):
+    """SeedSequence((seed, i)).generate_state(4, np.uint64) for i in lo..hi-1.
+
+    Returns the four uint64 words as four arrays over the rows; the
+    replication index i < 2**32 is the one entropy word that varies.
+    """
+    entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in _words(seed)]
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> 16)
+
+    # the pool takes the first words (zeros past the end), every pool word
+    # is mixed into every other, then each remaining word into every one
+    zeros = np.zeros(hi - lo, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zeros) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const, out = _INIT_B, []
+    for k in range(2 * _POOL_SIZE):
+        v = pool[k % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        v = v * np.uint32(const)
+        out.append((v ^ (v >> 16)).astype(np.uint64))
+    return [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+
+
 def _replication_uniforms(seed, lo, hi, horizon):
-    """Rows lo..hi-1 of the (reps, horizon) uniforms, one stream per replication."""
+    """Rows lo..hi-1 of the (reps, horizon) uniforms, one stream per replication.
+
+    Row i equals np.random.default_rng(np.random.SeedSequence((seed, i)))
+    .random(horizon) bit for bit.  PCG64 seeds from the words (s0, s1, q0,
+    q1) with initstate = s0:s1 and initseq = q0:q1 as 128-bit ints:
+    inc = (initseq << 1) | 1 and state = ((inc + initstate) * M + inc), mod
+    2**128; each row sets them on one reused generator and draws.
+    """
     U = np.empty((hi - lo, horizon))
-    for i in range(lo, hi):
-        U[i - lo] = np.random.default_rng(np.random.SeedSequence((seed, i))).random(horizon)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    words = (w.tolist() for w in _seed_states(seed, lo, hi))
+    for row, (s0, s1, q0, q1) in enumerate(zip(*words)):
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        gen.random(horizon, out=U[row])
     return U
 
 
@@ -78,8 +159,16 @@ def rollout(m, policy, x0, horizon, seed, reps):
 
     ``policy`` is a StationaryPolicy, a StagePolicy, or a callable
     ``(past_pairs, current_state) -> action`` (e.g. the reconstruction hook of
-    the total-reward criterion; this path loops per replication).
+    the total-reward criterion; this path loops per replication).  ``seed``
+    is any integer >= 0; ``reps`` is at most 2**32, so that a replication's
+    index is one 32-bit word of its stream's entropy.
     """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise ParameterError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if not isinstance(reps, numbers.Integral) or not 0 <= reps <= 2**32:
+        raise ParameterError(f"replications must be an integer in [0, 2**32], got {reps!r}")
     m.require_valid(for_discounted=False)
     if x0 not in m.state_index:
         raise ParameterError(f"unknown initial state {x0!r}")
@@ -93,7 +182,7 @@ def rollout(m, policy, x0, horizon, seed, reps):
     block = max(_MIN_BLOCK, _BLOCK_ELEMENTS // (horizon + m.n_states))
     for lo in range(0, reps, block):
         hi = min(lo + block, reps)
-        U = _replication_uniforms(seed, lo, hi, horizon)
+        U = _replication_uniforms(int(seed), lo, hi, horizon)
         if rules is not None:
             x = np.full(hi - lo, m.state_index[x0], dtype=int)
             disc = 1.0

@@ -59,6 +59,19 @@ class TestValidate:
         assert code == 1
         assert "transitions[1][b1]" in out
 
+    def test_entry_for_inadmissible_action(self, capsys, tmp_path, model_path):
+        obj = json.load(open(model_path))
+        obj["transitions"]["2"]["b1"] = {"1": 1.0}
+        obj["rewards"]["2"]["b1"] = 5.0
+        bad = tmp_path / "stray.json"
+        bad.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, ["validate", "--model", str(bad)])
+        assert code == 1
+        assert out.splitlines() == [
+            "transitions[2][b1]: action b1 is not admissible at state 2",
+            "rewards[2][b1]: action b1 is not admissible at state 2",
+        ]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["validate", "--model", "/nope/missing.json"])
         assert code == 2
@@ -258,6 +271,18 @@ class TestSimulateCmd:
         assert code == 4
         assert out == ""
         assert "gamma" in err
+
+    @pytest.mark.parametrize("seed, want", [("-1", 4), ("18446744073709551617", 0)])
+    def test_seed_range(self, capsys, model_path, seed, want):
+        # any integer >= 0 seeds the streams; a negative one is a parameter error
+        code, out, err = run(capsys, ["simulate", "--model", model_path,
+                                      "--policy", "fixture:jaquette.f",
+                                      "--horizon", "5", "--reps", "200", "--seed", seed])
+        assert code == want
+        if want:
+            assert out == "" and "seed" in err
+        else:
+            assert json.loads(out)["seed"] == int(seed)
 
     def test_fixture_policy(self, capsys, model_path):
         code, out, _ = run(capsys, ["simulate", "--model", model_path,

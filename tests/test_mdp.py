@@ -55,6 +55,20 @@ class TestValidate:
             rewards={"1": {"a": -0.5}}, discount=0.5)
         assert any("rewards[1][a]" in v for v in bad.validate())
 
+    def test_entries_for_inadmissible_actions_reported(self, jaquette):
+        # only "a" is admissible at "2" and "3", and only b1, b2 at "1": the
+        # stray entries would be dropped by to_dict, so validate names each
+        obj = jaquette.to_dict()
+        obj["transitions"]["2"]["b1"] = {"1": 1.0}
+        obj["rewards"]["2"]["b1"] = 5.0
+        obj["costs"] = {s: {a: 0.0 for a in acts} for s, acts in obj["admissible"].items()}
+        obj["costs"]["1"]["a"] = 1.0
+        assert FiniteMdp.from_dict(obj).validate(for_discounted=False) == [
+            "transitions[2][b1]: action b1 is not admissible at state 2",
+            "rewards[2][b1]: action b1 is not admissible at state 2",
+            "costs[1][a]: action a is not admissible at state 1",
+        ]
+
     def test_discount_range_only_for_discounted(self):
         m = FiniteMdp(
             states=["1"], actions=["a"], admissible={"1": ["a"]},

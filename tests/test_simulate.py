@@ -84,6 +84,14 @@ class TestRollout:
                 batch = rollout(jaquette, policy, "1", 12, seed=3, reps=600)
                 assert np.array_equal(batch.discounted_rewards, whole.discounted_rewards)
 
+    @pytest.mark.parametrize("name, seed, horizon, reps", [
+        ("seed", -1, 5, 10), ("seed", -2**70, 5, 10), ("seed", 1.5, 5, 10),
+        ("horizon", 0, -3, 10), ("horizon", 0, 2.0, 10),
+        ("replications", 0, 5, -1), ("replications", 0, 5, 2.5)])
+    def test_bad_argument_is_a_parameter_error(self, jaquette, name, seed, horizon, reps):
+        with pytest.raises(ParameterError, match=name):
+            rollout(jaquette, fixtures.jaquette_policy("f"), "1", horizon, seed=seed, reps=reps)
+
     def test_hook_must_return_admissible(self, jaquette):
         with pytest.raises(PolicyError):
             rollout(jaquette, lambda past, s: "a", "1", 3, seed=0, reps=2)
@@ -93,6 +101,22 @@ class TestRollout:
         top = jaquette.reward_bound / (1 - jaquette.discount)
         assert jaquette.discount ** h * top <= 1e-8
         assert jaquette.discount ** (h - 1) * top > 1e-8
+
+
+class TestStreams:
+    # one-word, multi-word and longer-than-pool (more than 4 words) entropy
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5,
+                                      2**64 + 3, 2**100 + 17])
+    @pytest.mark.parametrize("horizon", [1, 418])
+    def test_rows_are_numpy_streams(self, seed, horizon):
+        # NumPy's SeedSequence and PCG64 are the reference the batched
+        # seeding must reproduce bit for bit, in blocks starting anywhere
+        for lo, hi in ((0, 40), (37, 70), (2**32 - 3, 2**32)):
+            want = np.array([
+                np.random.default_rng(np.random.SeedSequence((seed, i))).random(horizon)
+                for i in range(lo, hi)])
+            got = simulate._replication_uniforms(seed, lo, hi, horizon)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestEstimate:
