@@ -58,6 +58,9 @@ from .oce import UtilitySpec
 from .recursive import _check_gamma_range, successor_risk
 from .report import SolveReport
 
+# the most float64 points a y grid can hold: its bytes must fit in intp
+_MAX_POINTS = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class AugmentedGrid:
@@ -88,7 +91,12 @@ class AugmentedGrid:
 
 
 def _truncation_depth(beta, d, tail_eps):
-    """Smallest level N >= 1 with beta^N d / (1 - beta) <= tail_eps (1 at beta = 0)."""
+    """Smallest level N >= 1 with beta^N d / (1 - beta) <= tail_eps (1 at beta = 0).
+
+    A budget that is not finite and > 0 is refused with :class:`ParameterError`.
+    """
+    if not (tail_eps > 0.0 and math.isfinite(tail_eps)):
+        raise ParameterError(f"truncation budget must be finite and > 0, got {tail_eps}")
     if beta == 0.0:
         return 1
     return max(1, math.ceil(math.log(tail_eps * (1.0 - beta) / max(d, 1e-300)) / math.log(beta)))
@@ -102,7 +110,11 @@ def _tail_error(beta, d, n_trunc):
 
 def default_grid(m, y_step=None, tail_eps=1e-8, n_trunc=None):
     """Grid sized from the model: covers every (y, z) reachable from (-eta, 1)
-    with eta in [0, d/(1-beta)]."""
+    with eta in [0, d/(1-beta)].
+
+    A step that is not finite and > 0, or whose grid cannot be allocated, is
+    refused with :class:`ParameterError`, and so is a bad ``tail_eps``.
+    """
     beta = m.discount
     if not (0.0 <= beta < 1.0):
         raise ParameterError(f"total-reward criterion needs beta in [0, 1), got {beta}")
@@ -110,12 +122,21 @@ def default_grid(m, y_step=None, tail_eps=1e-8, n_trunc=None):
     if top <= 0.0:
         top = 1.0
     step = top / 400.0 if y_step is None else float(y_step)
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ParameterError(f"grid step must be finite and > 0, got {y_step}")
     if n_trunc is None:
         n_trunc = _truncation_depth(beta, m.reward_bound, tail_eps)
     # ceil so the last point reaches the accumulation bound even when the
     # step does not divide the range
-    n_pts = int(math.ceil(2.0 * top / step - 1e-9)) + 1
-    y = -top + step * np.arange(n_pts)
+    span = 2.0 * top / step
+    too_many = ParameterError(f"grid step {step:g} needs {span:.3g} points over "
+                              f"[{-top:g}, {top:g}], more than can be allocated")
+    if not span < _MAX_POINTS:
+        raise too_many
+    try:
+        y = -top + step * np.arange(int(math.ceil(span - 1e-9)) + 1)
+    except MemoryError:
+        raise too_many from None
     return AugmentedGrid(y=y, y_step=step, beta=beta, n_trunc=int(n_trunc), tail_eps=tail_eps)
 
 

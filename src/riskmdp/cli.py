@@ -106,10 +106,11 @@ def _solve_one(m, criterion, args):
         return policy_iteration_recursive(m, spec, tol=args.tol)
     if criterion == "total_oce":
         spec = _utility_from_args(args)
+        tail_eps = getattr(args, "tail_eps", None)
+        budget = {} if tail_eps is None else {"tail_eps": tail_eps}
         if spec.kind == "entropic":
-            return entropic_total(m, spec.gamma).report()
-        grid = default_grid(m, y_step=getattr(args, "y_step", None) or None,
-                            tail_eps=getattr(args, "tail_eps", None) or 1e-8)
+            return entropic_total(m, spec.gamma, **budget).report()
+        grid = default_grid(m, y_step=getattr(args, "y_step", None), **budget)
         return solve_total_oce(m, spec, grid=grid,
                                estimate_interp_error=True).report()
     if criterion == "ergodic_entropic":

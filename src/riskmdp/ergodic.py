@@ -11,13 +11,23 @@ equivalently, with W = e^{gamma h} and rho = e^{gamma xi},
     rho W(x) = min_a e^{gamma c(x,a)} sum_y q(y|x,a) W(y),
 
 a nonlinear eigenproblem for the positive-matrix family; rho is the Perron
-value of the optimal policy's matrix diag(e^{gamma c_f}) P_f.  Relative value
-iteration with normalization at a reference state converges once the operator
-is damped with the self-loop mix lam = 1/2 (periodic chains otherwise cycle);
-the damping shifts the eigenvalue affinely, rho_damped = (1 - lam) + lam * rho,
-and keeps the eigenvector and the argmin, so the reported xi is undamped.
-:func:`ergodic_rvi` is the one iteration: the value of a single policy is the
-same iteration on a copy of the model restricted to that policy's actions.
+value of the optimal policy's matrix diag(e^{gamma c_f}) P_f.
+
+:func:`ergodic_rvi` solves it in log space, lw = log W with lw = 0 at a
+reference state z, by Newton's method on the log sweep T: the gradient of T
+at lw along the greedy rows f is the tilted kernel
+Q(x, y) = q(y|x,f) e^{lw(y)} / sum_y q e^{lw} (:func:`_tilted_kernel`, the
+entropic gradient of :mod:`riskmdp.oce`), and one step solves
+(I - Q) delta + l 1 = T(lw) - lw with delta(z) = 0 for the step delta and the
+new log rho l.  This is policy iteration for the criterion (Howard &
+Matheson, Management Science 1972), which Puterman & Brumelle (Math. Oper.
+Res. 1979) identify with Newton's method.  A step that fails (a singular
+system, a non-finite trial or a larger residual) is replaced by one step of
+relative value iteration damped with the self-loop mix lam = 1/2 (periodic
+chains otherwise cycle); the damping shifts the eigenvalue affinely,
+rho_damped = (1 - lam) + lam * rho, and keeps the eigenvector and the argmin,
+so the reported xi is undamped.  The value of a single policy is the same
+iteration on a copy of the model restricted to that policy's actions.
 
 Every sweep runs in log space (log W), so no gamma causes overflow.
 """
@@ -43,7 +53,7 @@ from .mdp import (
     value_dict,
 )
 from .neutral import DAMPING, MAX_ITERS
-from .oce import logsumexp
+from .oce import UtilitySpec, _oce_gradient, _oce_sorted, logsumexp
 from .report import SolveReport
 
 
@@ -56,6 +66,7 @@ class ErgodicSolution:
     rho: float              # e^{gamma xi}; inf where it overflows, null in the report
     iterations: int
     residual: float
+    safeguarded: int        # damped RVI steps taken in place of a refused Newton step
 
     def report(self, gamma):
         return SolveReport(
@@ -66,7 +77,8 @@ class ErgodicSolution:
             residual=self.residual,
             error_bound=self.residual,
             extras={"gain": self.xi, "bias": self.h,
-                    "rho": self.rho if np.isfinite(self.rho) else None, "gamma": gamma},
+                    "rho": self.rho if np.isfinite(self.rho) else None, "gamma": gamma,
+                    "safeguarded": self.safeguarded},
         )
 
 
@@ -77,8 +89,55 @@ def _log_min_sweep(m, gamma, lw):
         return np.where(m.admissible_mask, gamma * m.cost + inner, np.inf)
 
 
+# the tilt of the log sweep: the entropic OCE with gamma = 1 of the atoms -lw
+_TILT = UtilitySpec.entropic(1.0)
+
+
+def _tilted_kernel(m, lw, idx):
+    """Q(x, y) = q(y|x,a) e^{lw(y)} / sum_y q e^{lw} over the kernel rows
+    (x, idx[x]): the gradient of the log sweep at lw, from the entropic branch
+    of :func:`~riskmdp.oce._oce_gradient`.  Each row sums to 1."""
+    log_p = m.log_kernel[np.arange(m.n_states), idx]
+    eta = _oce_sorted(None, -lw, _TILT, log_p=log_p)[1]
+    return _oce_gradient(None, -lw, _TILT, eta, log_p=log_p)
+
+
+def _residual(vals, lrho, lw):
+    """max_x |M W(x) / (rho W(x)) - 1|, the relative residual in logs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(np.expm1(vals.min(axis=1) - lrho - lw))))
+
+
+def _newton_trial(m, gamma, z, lw, vals):
+    """(lw + delta, l, its sweep, its residual) from one solve of
+    (I - Q) delta + l 1 = T(lw) - lw with delta(z) = 0, Q the tilted kernel
+    of the greedy rows; None for a singular system or a non-finite trial."""
+    a = np.eye(m.n_states) - _tilted_kernel(m, lw, np.argmin(vals, axis=1))
+    a[:, z] = 1.0  # delta(z) = 0 frees column z for l
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            step = np.linalg.solve(a, vals.min(axis=1) - lw)
+        except np.linalg.LinAlgError:
+            return None
+        lrho = step[z]
+        step[z] = 0.0
+        trial = lw + step
+    if not (np.isfinite(lrho) and np.all(np.isfinite(trial))):
+        return None
+    tvals = _log_min_sweep(m, gamma, trial)
+    return trial, lrho, tvals, _residual(tvals, lrho, trial)
+
+
 def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
-    """Optimal ergodic entropic cost (xi, h, W, policy, rho) by damped RVI.
+    """Optimal ergodic entropic cost (xi, h, W, policy, rho) by safeguarded
+    Newton steps on the tilted kernel, with damped RVI as the fallback.
+
+    Each iteration tries the Newton step of :func:`_newton_trial` and keeps
+    it if its relative residual is no larger than the current one (which
+    counts as +inf at lw = 0, where it can overflow); otherwise it takes one
+    damped RVI step and counts it in ``safeguarded``.  A kept trial's sweep
+    is the next iteration's sweep, so a Newton step costs one sweep and one
+    S x S linear solve.
 
     Stopping uses the relative residual of the undamped multiplicative
     equation, max_x |M W(x) / (rho W(x)) - 1| <= tol, which is scale-free in
@@ -111,24 +170,30 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
     # the sweep at the new lw gives both this iteration's residual and the
     # next iteration's update
     vals = _log_min_sweep(m, gamma, lw)
+    residual = np.inf
+    safeguarded = 0
     for it in range(1, MAX_ITERS + 1):
-        ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + vals.min(axis=1))
-        lrho_t = ly[z] - lw[z]
-        lw_new = ly - ly[z]
-        if not np.all(np.isfinite(lw_new)):  # a NaN residual would never stop the loop
-            raise IterationLimitError(
-                "ergodic RVI produced a non-finite iterate", np.nan, it)
+        trial = _newton_trial(m, gamma, z, lw, vals)
+        if trial is not None and trial[3] <= residual:  # a NaN residual fails
+            lw_new, lrho, vals, residual = trial
+        else:
+            safeguarded += 1
+            ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + vals.min(axis=1))
+            lrho_t = ly[z] - lw[z]
+            lw_new = ly - ly[z]
+            if not np.all(np.isfinite(lw_new)):  # a NaN residual would never stop the loop
+                raise IterationLimitError(
+                    "ergodic RVI produced a non-finite iterate", np.nan, it)
+            # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
+            lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
+            vals = _log_min_sweep(m, gamma, lw_new)
+            residual = _residual(vals, lrho, lw_new)
         # an earlier iterate recurs: the float iteration cycles and no later
         # residual is new (Brent's check, with the anchor moved at powers of 2)
         stalled = np.array_equal(lw_new, anchor)
         if it & (it - 1) == 0:
             anchor = lw_new
         lw = lw_new
-        # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
-        lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
-        vals = _log_min_sweep(m, gamma, lw)
-        with np.errstate(over="ignore"):
-            residual = float(np.max(np.abs(np.expm1(vals.min(axis=1) - lrho - lw))))
         if residual <= tol or stalled:
             if residual > tol:
                 raise IterationLimitError(
@@ -140,7 +205,7 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
             return ErgodicSolution(
                 xi=float(lrho / gamma), h=value_dict(m, h), W=value_dict(m, W),
                 policy=StationaryPolicy.from_indices(m, np.argmin(vals, axis=1)), rho=rho,
-                iterations=it, residual=residual,
+                iterations=it, residual=residual, safeguarded=safeguarded,
             )
     raise IterationLimitError(
         f"ergodic RVI did not converge (last residual {residual:.3e})",

@@ -96,6 +96,24 @@ def perron_value(M, iters=20000, tol=1e-14):
     return float(np.max(eigs.real[np.abs(eigs.imag) < 1e-9]))
 
 
+def damped_rvi_policy(m, gamma, tol=1e-12, max_iters=10**6):
+    """(argmin policy as a choice dict, xi) of the ergodic entropic criterion
+    by relative value iteration on W = e^{gamma h} itself, damped with the
+    self-loop mix 1/2, until max_x |M W(x) / (rho W(x)) - 1| <= tol.  Plain
+    floats: gamma * cost must stay well inside double range."""
+    mult = np.exp(gamma * m.cost)
+    w, rho = np.ones(m.n_states), math.inf
+    for _ in range(max_iters):
+        vals = np.where(m.admissible_mask, mult * (m.kernel @ w), np.inf)
+        if np.max(np.abs(vals.min(axis=1) / (rho * w) - 1.0)) <= tol:
+            choice = {s: m.actions[a] for s, a in zip(m.states, np.argmin(vals, axis=1))}
+            return choice, math.log(rho) / gamma
+        y = 0.5 * w + 0.5 * vals.min(axis=1)
+        rho = (y[0] / w[0] - 0.5) / 0.5
+        w = y / y[0]
+    raise AssertionError("damped RVI reference did not converge")
+
+
 def discounted_policy_value(m, choice, beta=None):
     """(I - beta P_f)^{-1} r_f by direct solve."""
     beta = m.discount if beta is None else beta

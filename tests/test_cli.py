@@ -112,6 +112,36 @@ class TestSolve:
         assert code == 0
         assert "eta_star" in rep and "sandwich_width" in rep and "n_trunc" in rep
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "0.2", "--tail-eps", "-1"],
+        ["--alpha", "0.2", "--tail-eps", "0"],
+        ["--alpha", "0.2", "--tail-eps", "nan"],
+        ["--alpha", "0.2", "--y-step", "-0.1"],
+        ["--alpha", "0.2", "--y-step", "0"],
+        ["--alpha", "0.2", "--y-step", "nan"],
+        ["--alpha", "0.2", "--y-step", "inf"],
+        ["--alpha", "0.2", "--y-step", "1e-300"],
+        ["--gamma", "1.0", "--tail-eps", "-1"],
+        ["--gamma", "1.0", "--tail-eps", "0"],
+    ])
+    def test_bad_grid_parameter(self, capsys, model_path, flags):
+        # no default stands in for a given value, and no traceback for a bad one
+        code, out, err = run(capsys, ["solve", "--model", model_path,
+                                      "--criterion", "total_oce", *flags])
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+
+    def test_entropic_total_reads_tail_eps(self, capsys, model_path):
+        depth = {}
+        for tail_eps in ("1e-3", "1e-8"):
+            code, out, _ = run(capsys, ["solve", "--model", model_path,
+                                        "--criterion", "total_oce", "--gamma", "1.0",
+                                        "--tail-eps", tail_eps])
+            assert code == 0
+            depth[tail_eps] = json.loads(out)["n_trunc"]
+        # the smallest N with (1/2)^N 8 / (1 - 1/2) <= tail_eps
+        assert depth == {"1e-3": 14, "1e-8": 31}
+
     def test_nan_model_rejected_before_solving(self, capsys, nan_model_path):
         code, _, err = run(capsys, ["solve", "--model", nan_model_path,
                                     "--criterion", "risk_neutral"])
@@ -283,6 +313,14 @@ class TestSimulateCmd:
             assert out == "" and "seed" in err
         else:
             assert json.loads(out)["seed"] == int(seed)
+
+    @pytest.mark.parametrize("trunc_err", ["0", "-0.5", "nan", "inf"])
+    def test_bad_truncation_budget(self, capsys, model_path, trunc_err):
+        code, out, err = run(capsys, ["simulate", "--model", model_path,
+                                      "--policy", "fixture:jaquette.f",
+                                      "--reps", "200", "--trunc-err", trunc_err])
+        assert code == 4
+        assert out == "" and "truncation budget" in err
 
     def test_fixture_policy(self, capsys, model_path):
         code, out, _ = run(capsys, ["simulate", "--model", model_path,

@@ -16,7 +16,7 @@ from riskmdp.mdp import (
 from riskmdp.neutral import average_cost_rvi
 
 from conftest import random_mdp
-from oracles import perron_value
+from oracles import damped_rvi_policy, perron_value
 
 INVARIANT_XI = math.log(0.5 * (1.0 + math.e))  # growth factor (1 + e)/2
 
@@ -24,6 +24,29 @@ INVARIANT_XI = math.log(0.5 * (1.0 + math.e))  # growth factor (1 + e)/2
 def cost_mdp(rng, n_states=5, n_actions=2):
     return random_mdp(rng, n_states=n_states, n_actions=n_actions,
                       with_costs=True, min_prob=0.05)
+
+
+def ring_mdp(rng, n_states=6, n_actions=5):
+    """Sparse ring: each row has a self-loop, a ring edge and an edge to the
+    opposite state, weighted in [0.5, 1]; costs uniform in [0, 1]."""
+    states = [f"s{i}" for i in range(n_states)]
+    actions = [f"a{j}" for j in range(n_actions)]
+    transitions, costs = {}, {}
+    for i, s in enumerate(states):
+        transitions[s], costs[s] = {}, {}
+        for a in actions:
+            row = {}
+            for k, w in zip((i, i + 1, i + n_states // 2), rng.uniform(0.5, 1.0, 3)):
+                y = states[k % n_states]
+                row[y] = row.get(y, 0.0) + w
+            total = sum(row.values())
+            transitions[s][a] = {y: w / total for y, w in row.items()}
+            costs[s][a] = float(rng.random())
+    return FiniteMdp(states=states, actions=actions,
+                     admissible={s: list(actions) for s in states},
+                     transitions=transitions,
+                     rewards={s: {a: 0.0 for a in actions} for s in states},
+                     costs=costs, discount=0.5)
 
 
 class TestInvariantModel:
@@ -62,6 +85,61 @@ class TestInvariantModel:
     def test_residual_contract(self, invariant_model):
         sol = ergodic_rvi(invariant_model, 1.0, tol=1e-12)
         assert sol.residual <= 1e-12
+
+
+class TestNewtonSteps:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_few_steps_on_sparse_rings(self, seed):
+        # damped RVI takes 60-odd sweeps on these rings at gamma = 1
+        sol = ergodic_rvi(ring_mdp(np.random.default_rng(seed)), 1.0, tol=1e-10)
+        assert sol.iterations <= 8
+        assert sol.safeguarded == 0
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 10.0])
+    def test_policy_equals_damped_rvi(self, gamma):
+        rng = np.random.default_rng(47)
+        for _ in range(6):
+            m = cost_mdp(rng, n_states=6, n_actions=3)
+            sol = ergodic_rvi(m, gamma, tol=1e-12)
+            choice, xi = damped_rvi_policy(m, gamma, tol=1e-12)
+            assert sol.policy.choice == choice
+            assert sol.xi == pytest.approx(xi, abs=1e-9 / gamma)
+
+    # the identity makes the bordered system singular, twice the identity
+    # reverses the RVI step (a larger residual), NaN gives a non-finite trial;
+    # only the finite trial is swept before it is refused
+    @pytest.mark.parametrize("scale, swept", [(1.0, False), (2.0, True), (float("nan"), False)])
+    def test_bad_step_is_safeguarded(self, monkeypatch, scale, swept):
+        m = cost_mdp(np.random.default_rng(11), n_states=6, n_actions=3)
+        ref = ergodic_rvi(m, 1.0, tol=1e-12)
+        monkeypatch.setattr(ergodic, "_tilted_kernel",
+                            lambda m, lw, idx: scale * np.eye(m.n_states))
+        sweeps = []
+        sweep = ergodic._log_min_sweep
+        monkeypatch.setattr(ergodic, "_log_min_sweep",
+                            lambda *args: sweeps.append(1) or sweep(*args))
+        sol = ergodic_rvi(m, 1.0, tol=1e-12)
+        assert sol.safeguarded >= sol.iterations - 1 > 0
+        assert len(sweeps) == sol.iterations + 1 + swept * sol.safeguarded
+        assert sol.xi == pytest.approx(ref.xi, abs=1e-11)
+        assert sol.policy.choice == ref.policy.choice
+
+    def test_singular_solve_falls_back_to_damped_steps(self, monkeypatch):
+        m = cost_mdp(np.random.default_rng(12), n_states=6, n_actions=3)
+        ref = ergodic_rvi(m, 1.0, tol=1e-12)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        sol = ergodic_rvi(m, 1.0, tol=1e-12)
+        assert sol.safeguarded == sol.iterations > 1
+        assert sol.xi == pytest.approx(ref.xi, abs=1e-11)
+        assert sol.policy.choice == ref.policy.choice
+
+    def test_report_counts_safeguarded_steps(self, invariant_model):
+        rep = ergodic_rvi(invariant_model, 1.0, tol=1e-12).report(1.0)
+        assert rep.extras["safeguarded"] == 0
 
 
 class TestConstantCost:
