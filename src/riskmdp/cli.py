@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 
 from . import fixtures as fixture_mod
 from .augmented import default_grid, entropic_total, solve_total_oce
@@ -204,15 +205,17 @@ def cmd_simulate(args):
     m = load(args.model)
     policy = _policy_from_source(m, args.policy)
     x0 = args.x0 if args.x0 else m.states[0]
-    horizon = args.horizon if args.horizon else required_horizon(m, args.trunc_err)
+    horizon = args.horizon if args.horizon is not None else required_horizon(m, args.trunc_err)
     batch = rollout(m, policy, x0, horizon, args.seed, args.reps)
     rep = estimate(batch, args.functional, gamma=args.gamma, alpha=args.alpha)
     if args.csv:
-        lines = ["replication,discounted_reward,cumulative_cost"]
-        lines += [f"{i},{r!r},{c!r}" if c != "" else f"{i},{r!r},"
-                  for i, r, c in batch.to_rows()]
+        costs = batch.cumulative_costs
+        columns = (map(str, range(batch.replications)),
+                   map(repr, batch.discounted_rewards.tolist()),
+                   map(repr, costs.tolist()) if costs is not None else repeat(""))
         with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("replication,discounted_reward,cumulative_cost\n")
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     payload = {
         "functional": rep.functional,
         "estimate": rep.point,

@@ -13,11 +13,16 @@ order, and replications can run in parallel without changing results.
 Building one SeedSequence and one generator per replication costs more than
 its draws, so the streams are derived a block of replications at a time:
 SeedSequence's hashing of the entropy words (those of seed, then i) runs in
-uint32 array arithmetic, PCG64's seeding turns each row's four state words
-into its 128-bit state and increment, and one reused generator is set to
-each row's state in turn and draws that row.  NumPy's SeedSequence and PCG64
-are the reference: tests/test_simulate.py pins every stream to them bit for
-bit.
+uint32 array arithmetic and yields each row's four PCG64 state words.  A
+block with many rows per step of the horizon then steps PCG64 (O'Neill 2014)
+for all rows at once in uint64 array arithmetic; a block with few sets one
+reused generator to each row's 128-bit state in turn and draws that row.
+NumPy's SeedSequence and PCG64 are the reference: tests/test_simulate.py
+pins every stream to them bit for bit, on both paths.
+
+The bootstrap draws its resamples a chunk at a time and evaluates each
+chunk's statistics in one batched call; the resamples, and so the standard
+errors, are those of one draw per resample.
 """
 
 from __future__ import annotations
@@ -35,6 +40,12 @@ from .oce import UtilitySpec, _oce_sorted, logsumexp
 
 _BOOT_TAG = 0xB005E  # appended to the seed for the bootstrap stream
 _BOOT_RESAMPLES = 200
+# the bootstrap draws and evaluates its resamples in chunks of at most this
+# many indices (one resample where n is larger), so that a chunk's float
+# temporaries stay within 128 KiB, glibc's default mmap threshold: at 2**15
+# each chunk mapped and faulted in fresh pages, and 200 resamples of 2000
+# took about 1.5x as long
+_BOOT_CHUNK = 2**14
 
 
 def required_horizon(m, truncation_error):
@@ -52,17 +63,25 @@ class RolloutBatch:
     beta: float
     truncation_error: float
 
-    def to_rows(self):
-        for i in range(self.replications):
-            c = float(self.cumulative_costs[i]) if self.cumulative_costs is not None else ""
-            yield i, float(self.discounted_rewards[i]), c
-
 
 # replications run in blocks whose uniforms and gathered successor rows hold
 # about _BLOCK_ELEMENTS numbers, so memory does not grow with reps; a block
 # keeps at least _MIN_BLOCK replications so that each step stays vectorized
 _BLOCK_ELEMENTS = 2**17
 _MIN_BLOCK = 256
+
+# a block with at least this many rows per step of the horizon steps all its
+# streams in lockstep, a smaller one draws row by row: lockstep pays a fixed
+# cost per step, per-row draws one per row.  Per block of _BLOCK_ELEMENTS
+# (2 vCPUs, medians of 15), lockstep / per-row:
+#   horizon  S=6 (rows)            S=150 (rows)
+#   30       3.6 / 28.9 ms (3640)  1.1 / 4.0 ms (728)
+#   60       4.9 / 16.4 ms (1985)  3.4 / 5.1 ms (624)
+#   100      6.6 / 10.5 ms (1236)  5.1 / 4.5 ms (524)
+#   140      8.0 /  7.8 ms  (897)  6.2 / 4.1 ms (451)
+#   418     16.8 /  3.4 ms  (309)  19.3 / 3.3 ms (256)
+# and for 64, 256 and 1024 rows the tie lies between 3 and 7.5 rows per step
+_LOCKSTEP_ROWS_PER_STEP = 6
 
 
 # NumPy's SeedSequence constants (pool of four uint32 words) and the PCG64
@@ -73,6 +92,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+# the multiplier as uint64 words M_hi:M_lo, and M_lo's 32-bit limbs M_lo1:M_lo0
+_M_HI, _M_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+_M_LO1, _M_LO0 = np.uint64(_PCG_MULT >> 32 & _MASK32), np.uint64(_PCG_MULT & _MASK32)
+_U1, _U32, _U63 = np.uint64(1), np.uint64(_MASK32), np.uint64(63)
+_S11, _S32, _S58 = np.uint64(11), np.uint64(32), np.uint64(58)
 
 
 def _words(n):
@@ -129,18 +154,49 @@ def _replication_uniforms(seed, lo, hi, horizon):
     .random(horizon) bit for bit.  PCG64 seeds from the words (s0, s1, q0,
     q1) with initstate = s0:s1 and initseq = q0:q1 as 128-bit ints:
     inc = (initseq << 1) | 1 and state = ((inc + initstate) * M + inc), mod
-    2**128; each row sets them on one reused generator and draws.
+    2**128.  With at least _LOCKSTEP_ROWS_PER_STEP rows per step all rows
+    step at once (:func:`_lockstep_uniforms`); otherwise each row sets the
+    state on one reused generator in turn and draws.
     """
+    words = _seed_states(seed, lo, hi)
+    if hi - lo >= _LOCKSTEP_ROWS_PER_STEP * horizon:
+        return _lockstep_uniforms(*words, horizon)
     U = np.empty((hi - lo, horizon))
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    words = (w.tolist() for w in _seed_states(seed, lo, hi))
-    for row, (s0, s1, q0, q1) in enumerate(zip(*words)):
+    for row, (s0, s1, q0, q1) in enumerate(zip(*(w.tolist() for w in words))):
         inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
         state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
         gen.random(horizon, out=U[row])
+    return U
+
+
+def _lockstep_uniforms(s0, s1, q0, q1, horizon):
+    """PCG64's seeding and draws for every row at once, in uint64 words.
+
+    A row's 128-bit state is the pair hi:lo.  A step is state * M + inc mod
+    2**128; the high word of lo * M_lo comes from 32-bit limbs.  A draw
+    steps, then outputs XSL-RR, (hi ^ lo) rotated right by hi >> 58, and the
+    uniform is its top 53 bits times 2**-53, as in NumPy's random().
+    """
+    inc_hi, inc_lo = q0 << _U1 | q1 >> _U63, q1 << _U1 | _U1
+    lo = s1 + inc_lo
+    hi = s0 + inc_hi + (lo < s1)  # inc + initstate, with the carry out of lo
+    U = np.empty((lo.size, horizon))
+    for t in range(-1, horizon):  # step -1 ends the seeding
+        a0, a1 = lo & _U32, lo >> _S32
+        mid = a1 * _M_LO0 + (a0 * _M_LO0 >> _S32)
+        low = (mid & _U32) + a0 * _M_LO1
+        hi = (a1 * _M_LO1 + (mid >> _S32) + (low >> _S32)
+              + hi * _M_LO + lo * _M_HI + inc_hi)
+        lo = lo * _M_LO + inc_lo
+        hi += lo < inc_lo
+        if t >= 0:
+            x, rot = hi ^ lo, hi >> _S58
+            U[:, t] = (x >> rot | x << (-rot & _U63)) >> _S11
+    U *= 2.0**-53
     return U
 
 
@@ -224,13 +280,19 @@ class EstimateReport:
     truncation_error: float
 
 
-def _bootstrap_se(stat, n, seed):
-    """Standard deviation of stat(idx) over seeded resamples idx of range(n)."""
+def _bootstrap_se(stats, n, seed):
+    """Standard deviation of the statistic over seeded resamples of range(n).
+
+    ``stats`` maps a (k, n) array of resampled indices, one resample per row,
+    to its k statistics.  The resamples come in chunks of at most _BOOT_CHUNK
+    indices, or of one resample: a (k, n) draw of ``integers`` takes the generator's words in the
+    order k draws of n would, so each resample is the same in any chunking.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOT_TAG)))
-    stats = np.empty(_BOOT_RESAMPLES)
-    for b in range(_BOOT_RESAMPLES):
-        stats[b] = stat(rng.integers(0, n, n))
-    return float(stats.std(ddof=1))
+    k = max(1, _BOOT_CHUNK // n)
+    values = [stats(rng.integers(0, n, (min(k, _BOOT_RESAMPLES - b), n)))
+              for b in range(0, _BOOT_RESAMPLES, k)]
+    return float(np.concatenate(values).std(ddof=1))
 
 
 def estimate(batch, functional, gamma=None, alpha=None):
@@ -238,8 +300,10 @@ def estimate(batch, functional, gamma=None, alpha=None):
 
     Entropic and tail-mean functionals are nonlinear in the empirical law, so
     standard errors come from a seeded nonparametric bootstrap; the mean uses
-    the classical formula.  The tail mean sorts the samples once: the law of
-    a resample is its counts over them, one row of the OCE layer.
+    the classical formula.  Each statistic takes a chunk of resamples at
+    once: the entropic one as a row-wise log-sum-exp, the tail mean over the
+    samples sorted once, where a resample's law is its counts over them and
+    a chunk is one weight matrix of the OCE layer.
     """
     if batch.replications < 100:
         raise ParameterError("need at least 100 replications to estimate")
@@ -254,8 +318,10 @@ def estimate(batch, functional, gamma=None, alpha=None):
         return EstimateReport(functional, point, se, batch.replications,
                               batch.horizon, batch.truncation_error)
     if functional == "entropic":
-        def stat(idx):
-            return float(-(logsumexp(-gamma * samples[idx]) - math.log(n)) / gamma)
+        scaled = -gamma * samples
+
+        def stats(idx):
+            return -(logsumexp(scaled[idx], axis=-1) - math.log(n)) / gamma
     elif functional == "cvar":
         # atoms above the smallest sample lo, so the tail sums round on the
         # spread of the samples rather than on their level
@@ -263,13 +329,15 @@ def estimate(batch, functional, gamma=None, alpha=None):
         rank, lo, spec = np.argsort(order), samples[order[0]], UtilitySpec.cvar(alpha)
         x = samples[order] - lo
 
-        def stat(idx):  # 0.0 - keeps a zero tail at +0.0
-            p = np.bincount(rank[idx], minlength=n) / n
-            return 0.0 - lo - float(_oce_sorted(p, x, spec)[0])
+        def stats(idx):  # row r counts into bins r*n..r*n+n-1; 0.0 - keeps a zero tail +0.0
+            k = idx.shape[0]
+            bins = (rank[idx] + n * np.arange(k)[:, None]).ravel()
+            p = np.bincount(bins, minlength=k * n).reshape(k, n) / n
+            return 0.0 - lo - _oce_sorted(p, x, spec)[0]
     else:
         raise ParameterError(f"unknown functional {functional!r}")
-    return EstimateReport(functional, stat(np.arange(n)),
-                          _bootstrap_se(stat, n, batch.seed),
+    return EstimateReport(functional, float(stats(np.arange(n)[None])[0]),
+                          _bootstrap_se(stats, n, batch.seed),
                           batch.replications, batch.horizon, batch.truncation_error)
 
 
@@ -285,10 +353,10 @@ def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None):
     if not (gamma > 0.0):
         raise ParameterError("gamma must be > 0")
     batch = rollout(m, policy, x0 if x0 is not None else m.states[0], n, seed, reps)
-    C = batch.cumulative_costs
+    scaled = gamma * batch.cumulative_costs
 
-    def stat(idx):
-        return float((logsumexp(gamma * C[idx]) - math.log(reps)) / (gamma * n))
+    def stats(idx):
+        return (logsumexp(scaled[idx], axis=-1) - math.log(reps)) / (gamma * n)
 
-    return EstimateReport("ergodic_entropic", stat(np.arange(reps)),
-                          _bootstrap_se(stat, reps, seed), reps, n, 0.0)
+    return EstimateReport("ergodic_entropic", float(stats(np.arange(reps)[None])[0]),
+                          _bootstrap_se(stats, reps, seed), reps, n, 0.0)

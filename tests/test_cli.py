@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from riskmdp import fixtures
-from riskmdp.cli import main
+from riskmdp.cli import _policy_from_source, main
 from riskmdp.mdp import save
+from riskmdp.simulate import rollout
 
 
 @pytest.fixture
@@ -314,6 +315,15 @@ class TestSimulateCmd:
         else:
             assert json.loads(out)["seed"] == int(seed)
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_bad_horizon(self, capsys, model_path, horizon):
+        # a given horizon is never replaced by the one of --trunc-err
+        code, out, err = run(capsys, ["simulate", "--model", model_path,
+                                      "--policy", "fixture:jaquette.f",
+                                      "--reps", "200", "--horizon", horizon])
+        assert code == 4
+        assert out == "" and "horizon" in err
+
     @pytest.mark.parametrize("trunc_err", ["0", "-0.5", "nan", "inf"])
     def test_bad_truncation_budget(self, capsys, model_path, trunc_err):
         code, out, err = run(capsys, ["simulate", "--model", model_path,
@@ -342,16 +352,52 @@ class TestSimulateCmd:
         assert code == 0
         assert json.loads(out)["functional"] == "entropic"
 
-    def test_csv_dump(self, capsys, tmp_path, model_path):
-        csv = tmp_path / "rows.csv"
-        code, _, _ = run(capsys, ["simulate", "--model", model_path,
-                                  "--policy", "fixture:jaquette.g",
-                                  "--horizon", "5", "--reps", "120", "--seed", "0",
-                                  "--csv", str(csv)])
+    def test_csv_dump(self, capsys, tmp_path):
+        # one line per replication, each value as repr of its Python float,
+        # and an empty cost column for a model without costs (jaquette)
+        for m, policy in ((fixtures.jaquette(), "fixture:jaquette.g"),
+                          (fixtures.invariant_model(), "fixture:invariant_model.first")):
+            path, csv = tmp_path / "model.json", tmp_path / "rows.csv"
+            save(m, path)
+            code, _, _ = run(capsys, ["simulate", "--model", str(path), "--policy", policy,
+                                      "--horizon", "5", "--reps", "120", "--seed", "0",
+                                      "--csv", str(csv)])
+            assert code == 0
+            batch = rollout(m, _policy_from_source(m, policy), m.states[0], 5, 0, 120)
+            costs = batch.cumulative_costs
+            want = ["replication,discounted_reward,cumulative_cost"]
+            want += [f"{i},{float(batch.discounted_rewards[i])!r},"
+                     + (repr(float(costs[i])) if costs is not None else "") for i in range(120)]
+            assert csv.read_text() == "\n".join(want) + "\n"
+
+    # stdout at the seed-1 defaults (horizon 31 from --trunc-err), as the
+    # per-row stream draws and the per-resample bootstrap printed it
+    GOLDEN = {
+        "mean": ("2.6259313894808294", "0.04624050474105096"),
+        "entropic": ("1.1904007406032981", "0.02546531384479454"),
+        "cvar": ("-0.11678561482578495", "0.009387113531244329"),
+    }
+
+    @pytest.mark.parametrize("functional, extra", [
+        ("mean", []), ("entropic", ["--gamma", "1.0"]), ("cvar", ["--alpha", "0.2"])])
+    def test_golden_stdout(self, capsys, model_path, functional, extra):
+        code, out, _ = run(capsys, ["simulate", "--model", model_path,
+                                    "--policy", "fixture:jaquette.f", "--functional",
+                                    functional, *extra, "--reps", "2000", "--seed", "1"])
+        point, se = self.GOLDEN[functional]
         assert code == 0
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "replication,discounted_reward,cumulative_cost"
-        assert len(lines) == 121
+        assert out == (
+            f'{{\n  "functional": "{functional}",\n  "estimate": {point},\n'
+            f'  "std_error": {se},\n  "replications": 2000,\n  "horizon": 31,\n'
+            f'  "truncation_error": 7.450580596923828e-09,\n  "seed": 1\n}}\n')
+
+    def test_tsv_estimate_is_a_plain_float(self, capsys, model_path):
+        code, out, _ = run(capsys, ["simulate", "--model", model_path,
+                                    "--policy", "fixture:jaquette.f", "--functional", "cvar",
+                                    "--alpha", "0.2", "--reps", "2000", "--seed", "1",
+                                    "--format", "tsv"])
+        assert code == 0
+        assert "estimate\t-0.11678561482578495\n" in out
 
     def test_byte_identical_runs(self, capsys, model_path):
         argv = ["simulate", "--model", model_path, "--policy", "fixture:jaquette.f",

@@ -8,7 +8,7 @@ from riskmdp.augmented import entropic_total
 from riskmdp.ergodic import ergodic_rvi
 from riskmdp.errors import ParameterError, PolicyError
 from riskmdp.mdp import FiniteMdp, StationaryPolicy, enumerate_policies
-from riskmdp.oce import DiscreteDistribution, cvar
+from riskmdp.oce import DiscreteDistribution, UtilitySpec, _oce_sorted, cvar, logsumexp
 from riskmdp.simulate import (
     estimate,
     estimate_ergodic_entropic,
@@ -104,19 +104,75 @@ class TestRollout:
 
 
 class TestStreams:
-    # one-word, multi-word and longer-than-pool (more than 4 words) entropy
+    # one-word, multi-word and longer-than-pool (more than 4 words) entropy;
+    # 40 rows step in lockstep up to horizon 6 and row by row from 7 on, and
+    # a block of _BLOCK_ELEMENTS on a few states switches near 140
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5,
                                       2**64 + 3, 2**100 + 17])
-    @pytest.mark.parametrize("horizon", [1, 418])
-    def test_rows_are_numpy_streams(self, seed, horizon):
+    @pytest.mark.parametrize("horizon", [1, 6, 7, 140, 141, 418])
+    def test_rows_are_numpy_streams(self, monkeypatch, seed, horizon):
         # NumPy's SeedSequence and PCG64 are the reference the batched
-        # seeding must reproduce bit for bit, in blocks starting anywhere
+        # seeding must reproduce bit for bit, in blocks starting anywhere,
+        # on the lockstep path, the chosen one and the per-row one
         for lo, hi in ((0, 40), (37, 70), (2**32 - 3, 2**32)):
             want = np.array([
                 np.random.default_rng(np.random.SeedSequence((seed, i))).random(horizon)
                 for i in range(lo, hi)])
-            got = simulate._replication_uniforms(seed, lo, hi, horizon)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for rows_per_step in (0, simulate._LOCKSTEP_ROWS_PER_STEP, math.inf):
+                monkeypatch.setattr(simulate, "_LOCKSTEP_ROWS_PER_STEP", rows_per_step)
+                got = simulate._replication_uniforms(seed, lo, hi, horizon)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def reference_bootstrap_se(stat, n, seed):
+    """The per-resample loop the chunked bootstrap must equal bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, simulate._BOOT_TAG)))
+    stats = np.empty(simulate._BOOT_RESAMPLES)
+    for b in range(simulate._BOOT_RESAMPLES):
+        stats[b] = stat(rng.integers(0, n, n))
+    return float(stats.std(ddof=1))
+
+
+def reference_stat(samples, functional, param):
+    """One resample's statistic on its own row, as the per-resample loop took it."""
+    n = samples.size
+    if functional == "entropic":
+        return lambda idx: float(-(logsumexp(-param * samples[idx]) - math.log(n)) / param)
+    order = np.argsort(samples, kind="stable")
+    rank, lo, spec = np.argsort(order), samples[order[0]], UtilitySpec.cvar(param)
+    x = samples[order] - lo
+    return lambda idx: 0.0 - lo - float(
+        _oce_sorted(np.bincount(rank[idx], minlength=n) / n, x, spec)[0])
+
+
+class TestChunkedBootstrap:
+    # the chunk holds 163 and 162 resamples at n = 100 and 101 (200 is no
+    # multiple of either), 8 at n = 2000, and one above the budget
+    SIZES = [100, 101, 2000, simulate._BOOT_CHUNK + 1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("functional, param", [("entropic", 1.0), ("entropic", 7.5),
+                                                   ("cvar", 0.2)])
+    def test_equals_per_resample_loop(self, jaquette, n, functional, param):
+        # the discounted rewards of jaquette take few values: many ties
+        batch = rollout(jaquette, fixtures.jaquette_policy("f"), "1", 31, seed=n, reps=n)
+        rep = estimate(batch, functional, **{"gamma" if functional == "entropic" else "alpha": param})
+        stat = reference_stat(batch.discounted_rewards, functional, param)
+        assert rep.point.hex() == stat(np.arange(n)).hex()
+        assert rep.std_error.hex() == reference_bootstrap_se(stat, n, n).hex()
+
+    @pytest.mark.parametrize("reps", SIZES)
+    def test_ergodic_equals_per_resample_loop(self, invariant_model, reps):
+        gamma, steps = 0.5, 20
+        f = enumerate_policies(invariant_model)[0]
+        rep = estimate_ergodic_entropic(invariant_model, f, gamma, steps, reps, seed=4)
+        C = rollout(invariant_model, f, invariant_model.states[0], steps, 4, reps).cumulative_costs
+
+        def stat(idx):
+            return float((logsumexp(gamma * C[idx]) - math.log(reps)) / (gamma * steps))
+
+        assert rep.point.hex() == stat(np.arange(reps)).hex()
+        assert rep.std_error.hex() == reference_bootstrap_se(stat, reps, 4).hex()
 
 
 class TestEstimate:
