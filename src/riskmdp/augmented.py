@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ParameterError
 from .mdp import StagePolicy, StationaryPolicy, first_admissible_policy, value_dict
 from .oce import UtilitySpec
-from .recursive import _check_gamma_range, successor_risk
+from .recursive import _check_gamma_range, _greedy, successor_risk
 from .report import SolveReport
 
 # the most float64 points a y grid can hold: its bytes must fit in intp
@@ -510,30 +510,19 @@ def entropic_total(m, gamma, tail_eps=1e-8):
     set to zero (error at most beta^{N+1} d/(1-beta), which shift-additivity
     propagates unamplified to level 0).  All logs go through log-sum-exp.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ParameterError(f"entropic risk aversion must be > 0, got {gamma}")
+    spec = UtilitySpec.entropic(gamma)
     m.require_valid()
     _check_gamma_range(m, gamma)
     beta = m.discount
     d = m.reward_bound
     n_trunc = _truncation_depth(beta, d, tail_eps)
-    ns = m.n_states
-    spec = UtilitySpec.entropic(gamma)
-    values = np.zeros((n_trunc + 1, ns))
-    level_argmax = np.zeros((n_trunc + 1, ns), dtype=np.int16)
-
-    # deepest level: continuation exactly zero
-    z = beta ** n_trunc
-    q = np.where(m.admissible_mask, z * m.reward, -np.inf)
-    values[n_trunc] = q.max(axis=1)
-    level_argmax[n_trunc] = np.argmax(q, axis=1)
-
-    for n in range(n_trunc - 1, -1, -1):
-        z = beta ** n
-        q = np.where(m.admissible_mask, z * m.reward + successor_risk(m, spec, values[n + 1]),
-                     -np.inf)
-        values[n] = q.max(axis=1)
-        level_argmax[n] = np.argmax(q, axis=1)
+    values = np.zeros((n_trunc + 1, m.n_states))
+    level_argmax = np.zeros((n_trunc + 1, m.n_states), dtype=np.int16)
+    for n in range(n_trunc, -1, -1):
+        q = beta ** n * m.reward
+        if n < n_trunc:  # the deepest level's continuation is exactly zero
+            q = q + successor_risk(m, spec, values[n + 1])
+        values[n], level_argmax[n] = _greedy(m, q)
 
     rules = tuple(StationaryPolicy.from_indices(m, level_argmax[n]) for n in range(n_trunc))
     tail = rules[-1] if rules else first_admissible_policy(m)

@@ -30,8 +30,9 @@ from .errors import (
 from .mdp import StagePolicy, StationaryPolicy, first_admissible_policy, load, save
 from .neutral import value_iteration
 from .oce import UtilitySpec
+from .recursive import _check_tol, entropic_fast_path, policy_iteration_recursive
 # solve_recursive: no longer called here, but wrapped by name in bench/tracing.py
-from .recursive import entropic_fast_path, policy_iteration_recursive, solve_recursive  # noqa: F401
+from .recursive import solve_recursive  # noqa: F401
 from .simulate import estimate, required_horizon, rollout
 
 CRITERIA = ("risk_neutral", "recursive_oce", "total_oce", "ergodic_entropic")
@@ -48,9 +49,18 @@ def _add_common(p):
                    help="worker budget; solvers are deterministic regardless")
 
 
+def _json_arg(text, flag):
+    """The decoded JSON value of a flag, with every number a float: an
+    integer past the float range reads as inf, which the checks refuse."""
+    try:
+        return json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{flag} is not valid JSON: {exc}") from exc
+
+
 def _utility_from_args(args):
     if getattr(args, "utility", None):
-        return UtilitySpec.from_json(json.loads(args.utility))
+        return UtilitySpec.from_json(_json_arg(args.utility, "--utility"))
     if getattr(args, "alpha", None) is not None:
         return UtilitySpec.cvar(args.alpha)
     gamma = getattr(args, "gamma", None)
@@ -66,10 +76,7 @@ def _apply_criterion_config(args):
     """
     if not getattr(args, "config", None):
         return args
-    try:
-        obj = json.loads(args.config)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"--config is not valid JSON: {exc}") from exc
+    obj = _json_arg(args.config, "--config")
     if not isinstance(obj, dict):
         raise ParameterError("--config must hold a JSON object")
     if args.criterion is None:
@@ -78,14 +85,17 @@ def _apply_criterion_config(args):
         raise ParameterError("criterion missing from both --criterion and --config")
     if getattr(args, "utility", None) is None and "utility" in obj:
         args.utility = json.dumps(obj["utility"])
-    for key in ("gamma", "alpha", "reference_state"):
-        if getattr(args, key, None) is None and key in obj:
-            setattr(args, key, obj[key])
     grid = obj.get("grid", {})
-    if getattr(args, "y_step", None) is None:
-        args.y_step = grid.get("y_step")
-    if getattr(args, "tail_eps", None) is None:
-        args.tail_eps = grid.get("tail_eps")
+    if not isinstance(grid, dict):
+        raise ParameterError(f"--config 'grid' must be a JSON object, got {grid!r}")
+    for key, source, kind in (("gamma", obj, float), ("alpha", obj, float),
+                              ("reference_state", obj, str),
+                              ("y_step", grid, float), ("tail_eps", grid, float)):
+        if getattr(args, key, None) is None and source.get(key) is not None:
+            if not isinstance(source[key], kind):
+                raise ParameterError(f"--config {key!r} must be a {kind.__name__}, "
+                                     f"got {source[key]!r}")
+            setattr(args, key, source[key])
     return args
 
 
@@ -112,14 +122,16 @@ def _solve_one(m, criterion, args):
         if spec.kind == "entropic":
             return entropic_total(m, spec.gamma, **budget).report()
         grid = default_grid(m, y_step=getattr(args, "y_step", None), **budget)
-        return solve_total_oce(m, spec, grid=grid,
+        # compare's x0: the stage rules are realised from the initial state
+        return solve_total_oce(m, spec, grid=grid, x0=getattr(args, "x0", None),
                                estimate_interp_error=True).report()
     if criterion == "ergodic_entropic":
         gamma = getattr(args, "gamma", None)
         if gamma is None:
             raise ParameterError("ergodic_entropic needs --gamma")
+        _check_tol(args.tol)
         tol = min(args.tol, 1e-10)
-        if tol > 0.0 and m.cost is not None:  # a tolerance <= 0 is refused by the solver
+        if m.cost is not None:
             tol = max(tol, rounding_floor(gamma, m.cost))
         sol = ergodic_rvi(m, gamma, tol=tol,
                           reference_state=getattr(args, "reference_state", None))
@@ -163,7 +175,9 @@ def cmd_compare(args):
     if not seen:
         print("compare: needs at least one criterion", file=sys.stderr)
         return 2
-    x0 = args.x0 if args.x0 else m.states[0]
+    args.x0 = x0 = args.x0 if args.x0 else m.states[0]
+    if x0 not in m.state_index:
+        raise ParameterError(f"unknown initial state {x0!r}")
     rows = []
     for c in seen:
         rep = _solve_one(m, c, args)

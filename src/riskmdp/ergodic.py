@@ -14,19 +14,19 @@ a nonlinear eigenproblem for the positive-matrix family; rho is the Perron
 value of the optimal policy's matrix diag(e^{gamma c_f}) P_f.
 
 :func:`ergodic_rvi` solves it in log space, lw = log W with lw = 0 at a
-reference state z, by Newton's method on the log sweep T: the gradient of T
-at lw along the greedy rows f is the tilted kernel
-Q(x, y) = q(y|x,f) e^{lw(y)} / sum_y q e^{lw} (:func:`_tilted_kernel`, the
-entropic gradient of :mod:`riskmdp.oce`), and one step solves
-(I - Q) delta + l 1 = T(lw) - lw with delta(z) = 0 for the step delta and the
-new log rho l.  This is policy iteration for the criterion (Howard &
-Matheson, Management Science 1972), which Puterman & Brumelle (Math. Oper.
-Res. 1979) identify with Newton's method.  A step that fails (a singular
-system, a non-finite trial or a larger residual) is replaced by one step of
-relative value iteration damped with the self-loop mix lam = 1/2 (periodic
-chains otherwise cycle); the damping shifts the eigenvalue affinely,
-rho_damped = (1 - lam) + lam * rho, and keeps the eigenvector and the argmin,
-so the reported xi is undamped.  The value of a single policy is the same
+reference state z, by Newton's method on the log sweep T, the entropic
+successor layer of :mod:`riskmdp.recursive` at gamma = 1 over the atoms -lw.
+The gradient of T at lw along the greedy rows f is that layer's dual kernel,
+Q(x, y) = q(y|x,f) e^{lw(y)} / sum_y q e^{lw} (:func:`_tilted_kernel`), and
+one step solves (I - Q) delta + l 1 = T(lw) - lw with delta(z) = 0 for the
+step delta and the new log rho l.  This is policy iteration for the
+criterion (Howard & Matheson, Management Science 1972), which Puterman &
+Brumelle (Math. Oper. Res. 1979) identify with Newton's method.  A step
+that fails (a singular system, a non-finite trial or a larger residual) is
+replaced by one step of relative value iteration damped with the self-loop
+mix lam = 1/2 (periodic chains otherwise cycle); the damping shifts the
+eigenvalue affinely, rho_damped = (1 - lam) + lam * rho, and keeps the
+eigenvector and the argmin, so the reported xi is undamped.  The value of a single policy is the same
 iteration on a copy of the model restricted to that policy's actions.
 
 Every sweep runs in log space (log W), so no gamma causes overflow.
@@ -52,8 +52,9 @@ from .mdp import (
     reducible_policy,
     value_dict,
 )
-from .neutral import DAMPING, MAX_ITERS
-from .oce import UtilitySpec, _oce_gradient, _oce_sorted, logsumexp
+from .neutral import DAMPING, MAX_ITERS, _reference_index, _rvi_stop
+from .oce import UtilitySpec
+from .recursive import _check_tol, _dual_kernel, _successor_layer
 from .report import SolveReport
 
 
@@ -82,24 +83,25 @@ class ErgodicSolution:
         )
 
 
-def _log_min_sweep(m, gamma, lw):
-    """log of min_a e^{gamma c(x,a)} sum_y q W, batched; +inf at inadmissible."""
-    inner = logsumexp(m.log_kernel + lw, axis=2)
-    with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
-        return np.where(m.admissible_mask, gamma * m.cost + inner, np.inf)
-
-
-# the tilt of the log sweep: the entropic OCE with gamma = 1 of the atoms -lw
+# the tilt of the log sweep: ln sum_y q e^{lw} = -S(-lw) for the entropic OCE S
+# with gamma = 1, the successor layer of the recursive criterion
 _TILT = UtilitySpec.entropic(1.0)
+
+
+def _log_min_sweep(m, gamma, lw):
+    """log of e^{gamma c(x,a)} sum_y q W for every (x, a), batched, to be
+    minimized over a; +inf at inadmissible."""
+    with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
+        return np.where(m.admissible_mask,
+                        gamma * m.cost - _successor_layer(m, _TILT, -lw)[0], np.inf)
 
 
 def _tilted_kernel(m, lw, idx):
     """Q(x, y) = q(y|x,a) e^{lw(y)} / sum_y q e^{lw} over the kernel rows
-    (x, idx[x]): the gradient of the log sweep at lw, from the entropic branch
-    of :func:`~riskmdp.oce._oce_gradient`.  Each row sums to 1."""
-    log_p = m.log_kernel[np.arange(m.n_states), idx]
-    eta = _oce_sorted(None, -lw, _TILT, log_p=log_p)[1]
-    return _oce_gradient(None, -lw, _TILT, eta, log_p=log_p)
+    (x, idx[x]): the gradient of the log sweep at lw, the
+    :func:`~riskmdp.recursive._dual_kernel` of the tilt.  Each row sums to 1."""
+    eta = _successor_layer(m, _TILT, -lw, idx)[1]
+    return _dual_kernel(m, _TILT, -lw, idx, eta)
 
 
 def _residual(vals, lrho, lw):
@@ -142,18 +144,16 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
     Stopping uses the relative residual of the undamped multiplicative
     equation, max_x |M W(x) / (rho W(x)) - 1| <= tol, which is scale-free in
     gamma (the additive xi/h residual divides float noise by gamma and cannot
-    reach tight tolerances for small gamma).  The stopping contract is that of
-    :mod:`riskmdp.neutral`: a tolerance <= 0 is refused, and a non-finite
-    iterate, a recurring iterate above tol or ``MAX_ITERS`` iterations raise
-    :class:`IterationLimitError`.  A model in which some
-    stationary policy induces a reducible chain is refused with
-    :class:`ChainStructureError` naming that policy (the exact test of
-    :func:`reducible_policy`).
+    reach tight tolerances for small gamma).  The stopping contract and its
+    code are those of :mod:`riskmdp.neutral`: a tolerance that is not finite
+    and > 0 is refused, and a non-finite iterate, a recurring iterate above
+    tol or ``MAX_ITERS`` iterations raise :class:`IterationLimitError`.  A
+    model in which some stationary policy induces a reducible chain is
+    refused with :class:`ChainStructureError` naming that policy (the exact
+    test of :func:`reducible_policy`).
     """
-    if not (gamma > 0.0 and np.isfinite(gamma)):
-        raise ParameterError(f"risk aversion must be > 0, got {gamma}")
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    UtilitySpec.entropic(gamma)  # a finite gamma > 0
+    _check_tol(tol)
     if m.cost is None:
         raise ParameterError("ergodic solver needs a cost table")
     m.require_valid(for_discounted=False)
@@ -164,7 +164,7 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
             "the ergodic criterion needs one communicating class per policy"
         )
 
-    z = m.state_index[reference_state if reference_state is not None else m.states[0]]
+    z = _reference_index(m, reference_state)
     lam = DAMPING
     lw = anchor = np.zeros(m.n_states)
     # the sweep at the new lw gives both this iteration's residual and the
@@ -175,30 +175,21 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
     for it in range(1, MAX_ITERS + 1):
         trial = _newton_trial(m, gamma, z, lw, vals)
         if trial is not None and trial[3] <= residual:  # a NaN residual fails
-            lw_new, lrho, vals, residual = trial
+            lw, lrho, vals, residual = trial
         else:
             safeguarded += 1
             ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + vals.min(axis=1))
             lrho_t = ly[z] - lw[z]
-            lw_new = ly - ly[z]
-            if not np.all(np.isfinite(lw_new)):  # a NaN residual would never stop the loop
+            lw = ly - ly[z]
+            if not np.all(np.isfinite(lw)):  # a NaN residual would never stop the loop
                 raise IterationLimitError(
                     "ergodic RVI produced a non-finite iterate", np.nan, it)
             # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
             lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
-            vals = _log_min_sweep(m, gamma, lw_new)
-            residual = _residual(vals, lrho, lw_new)
-        # an earlier iterate recurs: the float iteration cycles and no later
-        # residual is new (Brent's check, with the anchor moved at powers of 2)
-        stalled = np.array_equal(lw_new, anchor)
-        if it & (it - 1) == 0:
-            anchor = lw_new
-        lw = lw_new
-        if residual <= tol or stalled:
-            if residual > tol:
-                raise IterationLimitError(
-                    f"ergodic RVI stalled at machine precision above tol={tol:g}",
-                    residual, it)
+            vals = _log_min_sweep(m, gamma, lw)
+            residual = _residual(vals, lrho, lw)
+        done, anchor = _rvi_stop("ergodic RVI", it, lw, anchor, residual, tol)
+        if done:
             h = lw / gamma
             with np.errstate(over="ignore"):
                 W, rho = np.exp(lw), float(np.exp(lrho))

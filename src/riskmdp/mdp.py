@@ -167,18 +167,18 @@ class FiniteMdp:
         for si, s in enumerate(self.states):
             for a in self.admissible[s]:
                 ai = self.action_index[a]
-                total = totals[si, ai]
+                total = float(totals[si, ai])  # a plain float in the messages
                 if not finite[si, ai]:
                     out.append(f"transitions[{s}][{a}]: probabilities must be finite")
                 elif abs(total - 1.0) > _ROW_TOL:
                     out.append(f"transitions[{s}][{a}]: row sums to {total!r}, expected 1")
                 if negative[si, ai]:
                     out.append(f"transitions[{s}][{a}]: negative probability")
-                r = self.reward[si, ai]
+                r = float(self.reward[si, ai])
                 if not math.isfinite(r) or r < 0.0:
                     out.append(f"rewards[{s}][{a}]: must be finite and >= 0, got {r!r}")
                 if self.cost is not None:
-                    c = self.cost[si, ai]
+                    c = float(self.cost[si, ai])
                     if not math.isfinite(c) or c < 0.0:
                         out.append(f"costs[{s}][{a}]: must be finite and >= 0, got {c!r}")
         out.extend(self._inadmissible_entries)

@@ -10,15 +10,17 @@ is aperiodic and has the same gain; plus the vanishing-discount quantities
 connecting the two.
 
 Relative value iteration here and in :mod:`riskmdp.ergodic` shares one
-stopping contract: a tolerance <= 0 is refused, and the loop stops at the
-tolerance, at the first non-finite iterate, at an iterate equal to an
-earlier one (the float iteration has entered a cycle, so no later residual
-is new; it raises if the residual is still above the tolerance there) or,
-as a backstop, after ``MAX_ITERS`` iterations.  The damped operators are
-only nonexpansive in the span seminorm, so no contraction modulus gives a
-tighter budget.
+stopping contract, with one implementation: a tolerance that is not finite
+and > 0 is refused (:func:`~riskmdp.recursive._check_tol`), and the loop
+stops at the tolerance, at the first non-finite iterate, at an iterate equal
+to an earlier one (:func:`_rvi_stop`: the float iteration has entered a
+cycle, so no later residual is new; it raises if the residual is still above
+the tolerance there) or, as a backstop, after ``MAX_ITERS`` iterations.  The
+damped operators are only nonexpansive in the span seminorm, so no
+contraction modulus gives a tighter budget.
 
-Ties are always broken by the first admissible action in declared order.
+Ties are always broken by the first admissible action in declared order
+(:func:`~riskmdp.recursive._greedy`, the greedy step of every solver).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .mdp import (
     induced_chain,
     value_dict,
 )
-from .recursive import _iterate
+from .recursive import _check_tol, _greedy, _iterate
 from .report import SolveReport
 
 MAX_ITERS = 10**6   # backstop of both relative value iterations
@@ -52,23 +54,9 @@ _TIE_TOL = 1e-12    # margin a policy-iteration competitor must win by
 _MAX_ROUNDS = 10**4
 
 
-def _q_values(m, v):
-    """Action values r + beta * (kernel @ v), -inf at inadmissible pairs."""
-    q = m.reward + m.discount * (m.kernel @ v)
-    return np.where(m.admissible_mask, q, -np.inf)
-
-
-def _greedy(m, q):
-    """Greedy policy from an action-value table (first argmax in declared order)."""
-    idx = np.argmax(q, axis=1)
-    return StationaryPolicy.from_indices(m, idx), idx
-
-
 def bellman_T(m, v):
-    """One Bellman sweep.  Returns (Tv, greedy StationaryPolicy)."""
-    q = _q_values(m, np.asarray(v, dtype=float))
-    policy, _ = _greedy(m, q)
-    return q.max(axis=1), policy
+    """One Bellman sweep.  Returns (Tv, the greedy action index per state)."""
+    return _greedy(m, m.reward + m.discount * (m.kernel @ np.asarray(v, dtype=float)))
 
 
 def value_iteration(m, tol=1e-9):
@@ -80,13 +68,12 @@ def value_iteration(m, tol=1e-9):
     beta = 0 a single sweep is exact), and shares its sweep budget.
     """
     m.require_valid()
-    if not tol > 0.0:  # checked here so the message names tol, not tol / 2
-        raise ParameterError(f"tolerance must be > 0, got {tol}")
-    v, policy, it, residual, bound = _iterate(m, lambda v: bellman_T(m, v), tol / 2.0)
+    _check_tol(tol)  # checked here so the message names tol, not tol / 2
+    v, idx, it, residual, bound = _iterate(m, lambda v: bellman_T(m, v), tol / 2.0)
     return SolveReport(
         criterion="risk_neutral",
         value=value_dict(m, v),
-        policy=dict(policy.choice),
+        policy=dict(StationaryPolicy.from_indices(m, idx).choice),
         iterations=it,
         residual=residual,
         error_bound=bound,
@@ -113,27 +100,24 @@ def policy_iteration(m):
     cycle between equally optimal policies.
     """
     m.require_valid()
-    policy = first_admissible_policy(m)
+    rows = np.arange(m.n_states)
+    idx = first_admissible_policy(m).indices(m)
     for it in range(1, _MAX_ROUNDS + 1):
-        idx = policy.indices(m)
-        P, r, _ = induced_chain(m, policy)
-        v = _chain_value(P, r, m.discount)
-        q = _q_values(m, v)
-        best = np.argmax(q, axis=1)
-        rows = np.arange(m.n_states)
-        keep = q[rows, best] <= q[rows, idx] + _TIE_TOL
-        improved = StationaryPolicy.from_indices(m, np.where(keep, idx, best))
-        if improved.choice == policy.choice:
+        v = _chain_value(m.kernel[rows, idx], m.reward[rows, idx], m.discount)
+        q = m.reward + m.discount * (m.kernel @ v)
+        top, best = _greedy(m, q)
+        improved = np.where(top <= q[rows, idx] + _TIE_TOL, idx, best)
+        if np.array_equal(improved, idx):
             residual = float(np.max(np.abs(bellman_T(m, v)[0] - v)))
             return SolveReport(
                 criterion="risk_neutral",
                 value=value_dict(m, v),
-                policy=dict(policy.choice),
+                policy=dict(StationaryPolicy.from_indices(m, idx).choice),
                 iterations=it,
                 residual=residual,
                 error_bound=residual / max(1.0 - m.discount, 1e-300),
             )
-        policy = improved
+        idx = improved
     raise IterationLimitError("policy iteration did not settle", iterations=_MAX_ROUNDS)
 
 
@@ -234,6 +218,28 @@ class AverageSolution:
     residual: float
 
 
+def _reference_index(m, reference_state):
+    """Index of the reference state (the first for None) of both relative
+    value iterations; an unknown id is refused with :class:`ParameterError`."""
+    if reference_state is None:
+        return 0
+    if reference_state not in m.state_index:
+        raise ParameterError(f"unknown reference state {reference_state!r}")
+    return m.state_index[reference_state]
+
+
+def _rvi_stop(name, it, x, anchor, residual, tol):
+    """(whether a relative value iteration stops at its iterate x, the next
+    anchor).  An x equal to the anchor, an earlier iterate, means the float
+    iteration cycles and no later residual is new (Brent's check, the anchor
+    moved at powers of 2): it stops, and raises above tol."""
+    stalled = np.array_equal(x, anchor)
+    if stalled and residual > tol:
+        raise IterationLimitError(
+            f"{name} stalled at machine precision above tol={tol:g}", residual, it)
+    return residual <= tol or stalled, (x if it & (it - 1) == 0 else anchor)
+
+
 def _average_rvi(m, table, minimize, tol, reference_state):
     """Relative value iteration for the average criterion.
 
@@ -243,8 +249,7 @@ def _average_rvi(m, table, minimize, tol, reference_state):
     One kernel product per iteration: the undamped table vals + q(lambda h~)
     that gives the residual, plus (1-lambda) h~, is the next damped sweep.
     """
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    _check_tol(tol)
     try:
         chk = check_unichain_aperiodic(m, cap=_POLICY_CAP)
     except EnumerationCapError:
@@ -255,7 +260,7 @@ def _average_rvi(m, table, minimize, tol, reference_state):
             f"policy {bad.policy.choice} induces {bad.n_recurrent_classes} recurrent classes; "
             "the average criterion needs unichain models"
         )
-    z = m.state_index[reference_state if reference_state is not None else m.states[0]]
+    z = _reference_index(m, reference_state)
     lam = DAMPING
     best, arg = (np.min, np.argmin) if minimize else (np.max, np.argmax)
     # +-inf at inadmissible pairs, which every table below inherits
@@ -269,21 +274,13 @@ def _average_rvi(m, table, minimize, tol, reference_state):
         if not np.all(np.isfinite(h_new)):
             raise IterationLimitError(
                 "relative value iteration produced a non-finite iterate", np.nan, it)
-        # an earlier iterate recurs: the float iteration cycles and no later
-        # residual is new (Brent's check, with the anchor moved at powers of 2)
-        stalled = np.array_equal(h_new, anchor)
-        if it & (it - 1) == 0:
-            anchor = h_new
         h = h_new
         # residual of the *undamped* optimality equation with bias lambda * h
         hb = lam * h
         q = vals + m.kernel @ hb
         residual = float(np.max(np.abs(best(q, axis=1) - gain - hb)))
-        if residual <= tol or stalled:
-            if residual > tol:
-                raise IterationLimitError(
-                    f"relative value iteration stalled at machine precision above tol={tol:g}",
-                    residual, it)
+        done, anchor = _rvi_stop("relative value iteration", it, h, anchor, residual, tol)
+        if done:
             policy = StationaryPolicy.from_indices(m, arg(q, axis=1))
             return AverageSolution(float(gain), value_dict(m, hb), policy, it, residual)
     raise IterationLimitError("relative value iteration did not converge", residual, MAX_ITERS)

@@ -161,6 +161,8 @@ class UtilitySpec:
         pts = tuple((float(t), float(v)) for t, v in points)
         if len(pts) < 2:
             raise ParameterError("piecewise-linear utility needs at least two points")
+        if not all(math.isfinite(x) for p in pts for x in p):
+            raise ParameterError("piecewise-linear utility needs finite points")
         ts = np.array([t for t, _ in pts])
         us = np.array([v for _, v in pts])
         if np.any(np.diff(ts) <= 0.0):
@@ -236,17 +238,22 @@ class UtilitySpec:
 
     @classmethod
     def from_json(cls, obj):
+        """The spec of a decoded JSON object; a missing or wrongly typed field
+        is refused with :class:`ParameterError`."""
         if not isinstance(obj, dict):
             raise ParameterError(f"utility spec must be a JSON object, got {type(obj).__name__}")
         kind = obj.get("type")
-        if kind == "entropic":
-            return cls.entropic(obj["gamma"])
-        if kind == "cvar":
-            return cls.cvar(obj["alpha"])
-        if kind == "mean_variance":
-            return cls.mean_variance()
-        if kind == "piecewise_linear":
-            return cls.piecewise_linear(obj["points"])
+        try:
+            if kind == "entropic":
+                return cls.entropic(obj["gamma"])
+            if kind == "cvar":
+                return cls.cvar(obj["alpha"])
+            if kind == "mean_variance":
+                return cls.mean_variance()
+            if kind == "piecewise_linear":
+                return cls.piecewise_linear(obj["points"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed {kind} utility {obj}: {exc!r}") from None
         raise ParameterError(f"unknown utility type {kind!r}")
 
 

@@ -16,9 +16,14 @@ layer in :mod:`riskmdp.oce`, the same code that :func:`~riskmdp.oce.oce`
 runs on a single law:
 
 * entropic: a log-sum-exp over the model's cached log kernel, which never
-  under- or overflows and needs no order;
+  under- or overflows and needs no order (the ergodic log sweep is this
+  layer too, and no other module reads the log kernel);
 * cvar, mean_variance, piecewise_linear: V is sorted once per sweep, and the
   kernel rows, permuted to that order, are the layer's rows.
+
+Every solver takes its greedy step, the masked max and first argmax of an
+(S, A) action-value table, from :func:`_greedy`, and its stopping tolerance
+through :func:`_check_tol`: one <= 0 or not finite is refused.
 
 The solver, :func:`policy_iteration_recursive`, is Newton's method on the
 same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
@@ -50,10 +55,16 @@ from .report import SolveReport
 _BUDGET_MARGIN = 10
 
 
+def _check_tol(tol):
+    """Refuse a stopping tolerance that no loop can use: one <= 0 can never
+    be met, and an infinite one would stop any loop at once."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ParameterError(f"tolerance must be finite and > 0, got {tol}")
+
+
 def _check_gamma_range(m, gamma):
     """Log-space evaluation needs gamma * d / (1 - beta) itself to be finite."""
-    if not (gamma > 0.0 and np.isfinite(gamma)):
-        raise ParameterError(f"risk aversion must be > 0, got {gamma}")
+    UtilitySpec.entropic(gamma)  # a finite gamma > 0
     top = gamma * max(m.reward_bound, 1.0) / max(1.0 - m.discount, 1e-16)
     if not np.isfinite(top) or top > 1e300:
         raise ParameterError(
@@ -115,22 +126,19 @@ def _dual_kernel(m, spec, v, idx, eta):
     return dual
 
 
-def _greedy(m, risk):
-    """max_a { r(x,a) + beta * risk(x,a) } per state, and the first maximizing
-    action index in declared order; inadmissible actions are masked out."""
-    q = np.where(m.admissible_mask, m.reward + m.discount * risk, -np.inf)
+def _greedy(m, q):
+    """max_a q(x, a) per state and the first maximizing action index in
+    declared order, over an (S, A) action-value table; inadmissible actions
+    are masked out.  The one greedy step of every solver."""
+    q = np.where(m.admissible_mask, q, -np.inf)
     idx = np.argmax(q, axis=1)
     return q[np.arange(m.n_states), idx], idx
 
 
 def recursive_bellman_L(m, spec, v):
-    """One sweep of the nested-risk operator.  Returns (Lv, argmax policy).
-
-    Ties go to the first action in declared order; inadmissible actions are
-    masked out.
-    """
-    lv, idx = _greedy(m, successor_risk(m, spec, v))
-    return lv, StationaryPolicy.from_indices(m, idx)
+    """One sweep of the nested-risk operator.  Returns (Lv, the argmax action
+    index per state); see :func:`_greedy` for ties."""
+    return _greedy(m, m.reward + m.discount * successor_risk(m, spec, v))
 
 
 def _sweep_budget(beta, stop, delta_1):
@@ -146,25 +154,25 @@ def _sweep_budget(beta, stop, delta_1):
 
 def _iterate(m, sweep, tol):
     """Contraction iteration from the zero function with the a-posteriori
-    bound beta*||dv||/(1-beta).
+    bound beta*||dv||/(1-beta).  ``sweep(v)`` returns (Tv, the argmax action
+    index per state); the loop returns (v, idx, sweeps, residual, bound).
 
     The sweep budget follows from the first sweep's change (see
     :func:`_sweep_budget`).  Past the budget the iteration raises
     :class:`IterationLimitError`.
     """
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    _check_tol(tol)
     beta = m.discount
     v = np.zeros(m.n_states)
     stop = tol if beta == 0.0 else tol * (1.0 - beta) / beta
     for it in itertools.count(1):
-        w, policy = sweep(v)
+        w, idx = sweep(v)
         delta = float(np.max(np.abs(w - v)))
         v = w
         if delta <= stop or beta == 0.0:
             bound = 0.0 if beta == 0.0 else beta * delta / (1.0 - beta)
             residual = float(np.max(np.abs(sweep(v)[0] - v)))
-            return v, policy, it, residual, bound
+            return v, idx, it, residual, bound
         if it == 1:
             budget = _sweep_budget(beta, stop, delta)
         if it >= budget:
@@ -176,12 +184,12 @@ def solve_recursive(m, spec, tol=1e-9):
     """Fixed point of L with a stationary argmax policy attached, by value
     iteration: the verification path of :func:`policy_iteration_recursive`."""
     m.require_valid()
-    v, policy, it, residual, bound = _iterate(
+    v, idx, it, residual, bound = _iterate(
         m, lambda v: recursive_bellman_L(m, spec, v), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
-        policy=dict(policy.choice),
+        policy=dict(StationaryPolicy.from_indices(m, idx).choice),
         iterations=it,
         residual=residual,
         error_bound=bound,
@@ -208,8 +216,7 @@ def _newton(m, spec, sweep, tol):
     the bound beta ||Tv - v|| / (1 - beta) holds for Tv, and the residual of
     Tv is that of one more, real sweep.  beta = 0 takes one sweep.
     """
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    _check_tol(tol)
     beta = m.discount
 
     def visit(v):
@@ -248,7 +255,7 @@ def _newton(m, spec, sweep, tol):
 def _greedy_sweep(m, spec, v):
     """Lv, its argmax actions and their eta*."""
     risk, eta = _successor_layer(m, spec, v)
-    lv, idx = _greedy(m, np.where(m.admissible_mask, risk, 0.0))
+    lv, idx = _greedy(m, m.reward + m.discount * np.where(m.admissible_mask, risk, 0.0))
     return lv, idx, eta[np.arange(m.n_states), idx]
 
 

@@ -350,8 +350,7 @@ def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None):
     """
     if m.cost is None:
         raise ParameterError("ergodic estimator needs a cost table")
-    if not (gamma > 0.0):
-        raise ParameterError("gamma must be > 0")
+    UtilitySpec.entropic(gamma)  # a finite gamma > 0
     batch = rollout(m, policy, x0 if x0 is not None else m.states[0], n, seed, reps)
     scaled = gamma * batch.cumulative_costs
 

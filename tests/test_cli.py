@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskmdp import fixtures
 from riskmdp.cli import _policy_from_source, main
@@ -76,6 +79,21 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["validate", "--model", "/nope/missing.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("edit, want", [
+        (lambda o: o["admissible"]["s0"].append("a"), "admissible[s0]: duplicate action a"),
+        (lambda o: o["transitions"]["s0"]["a"].update({"s0": 1.5, "s1": -0.5}),
+         "transitions[s0][a]: negative probability"),
+        (lambda o: o["costs"]["s1"].update({"a": -1.0}),
+         "costs[s1][a]: must be finite and >= 0, got -1.0"),
+    ])
+    def test_violation_message(self, capsys, tmp_path, invariant_path, edit, want):
+        obj = json.load(open(invariant_path))
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, ["validate", "--model", str(bad)])
+        assert (code, out.splitlines()) == (1, [want])
 
 
 class TestSolve:
@@ -253,6 +271,19 @@ class TestSolve:
         assert code == 0
         assert out.startswith("state\tvalue\taction")
 
+    def test_tsv_scalar_extras(self, capsys, invariant_path):
+        # each scalar extra is one "# key=repr" line; dicts (bias) are left out
+        argv = ["solve", "--model", invariant_path, "--criterion", "ergodic_entropic",
+                "--gamma", "1.0"]
+        code, out, _ = run(capsys, argv)
+        rep = json.loads(out)
+        code, out, _ = run(capsys, [*argv, "--format", "tsv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["state\tvalue\taction",
+                             f"s0\t{rep['value']['s0']!r}\ta", f"s1\t{rep['value']['s1']!r}\ta"]
+        assert lines[4:] == [f"# {k}={rep[k]!r}" for k in ("gain", "rho", "gamma", "safeguarded")]
+
     def test_out_file(self, tmp_path, capsys, model_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, ["solve", "--model", model_path,
@@ -290,6 +321,32 @@ class TestCompare:
         code, _, err = run(capsys, ["compare", "--model", model_path,
                                     "--criteria", "maximax"])
         assert code == 4
+
+    def test_tsv_rows(self, capsys, model_path):
+        argv = ["compare", "--model", model_path, "--criteria", "risk_neutral,recursive_oce"]
+        code, out, _ = run(capsys, argv)
+        rows = json.loads(out)["rows"]
+        code, out, _ = run(capsys, [*argv, "--format", "tsv"])
+        assert code == 0
+        assert out.splitlines() == ["criterion\tvalue\tstage0_action"] + [
+            f"{r['criterion']}\t{r['value']!r}\t{r['stage0_action']}" for r in rows]
+
+    @pytest.mark.parametrize("x0, want", [("1", "order2"), ("2", "order1")])
+    def test_total_oce_stage0_action_at_x0(self, capsys, tmp_path, x0, want):
+        # the stage rules of a total-OCE report are realised from its initial
+        # state, so the row at x0 reads the solve from x0
+        from riskmdp.augmented import solve_total_oce
+        from riskmdp.oce import UtilitySpec
+        m = fixtures.inventory_toy()
+        path = tmp_path / "inventory.json"
+        save(m, path)
+        code, out, _ = run(capsys, ["compare", "--model", str(path), "--criteria", "total_oce",
+                                    "--utility", '{"type": "cvar", "alpha": 0.2}',
+                                    "--x0", x0, "--format", "tsv"])
+        assert code == 0
+        sol = solve_total_oce(m, UtilitySpec.cvar(0.2), x0=x0)
+        assert sol.stage_policy.stages[0].action(x0) == want
+        assert out.splitlines()[1] == f"total_oce\t{sol.value!r}\t{want}"
 
 
 class TestSimulateCmd:
@@ -351,6 +408,21 @@ class TestSimulateCmd:
                                     "--reps", "2000", "--seed", "3"])
         assert code == 0
         assert json.loads(out)["functional"] == "entropic"
+
+    def test_total_oce_stage_policy_report(self, capsys, tmp_path, model_path):
+        # a total-OCE report carries its rules as stage_policy: the rollout
+        # follows them stage by stage, and the entropic estimate of the
+        # realised reward lands on the reported value
+        report = tmp_path / "total.json"
+        assert main(["solve", "--model", model_path, "--criterion", "total_oce",
+                     "--gamma", "1.0", "--out", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        code, out, _ = run(capsys, ["simulate", "--model", model_path,
+                                    "--policy", str(report), "--functional", "entropic",
+                                    "--gamma", "1.0", "--reps", "4000", "--seed", "5"])
+        assert code == 0
+        est = json.loads(out)
+        assert abs(est["estimate"] - rep["value"]["1"]) <= 4 * est["std_error"]
 
     def test_csv_dump(self, capsys, tmp_path):
         # one line per replication, each value as repr of its Python float,
@@ -469,3 +541,103 @@ def test_ergodic_tolerance_at_the_rounding_floor(capsys, tmp_path, invariant_pat
     else:
         xi, _ = ergodic_policy_value(m, StationaryPolicy(rep["policy"]), g)
         assert rep["gain"] == pytest.approx(xi, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def fixture_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fixtures")
+    paths = {}
+    for name, builder in fixtures.FIXTURES.items():
+        paths[name] = str(root / f"{name}.json")
+        save(builder(), paths[name])
+    return paths
+
+
+# each of these died with a traceback or, for --tol inf, exited 0
+@pytest.mark.parametrize("argv", [
+    ["compare", "--criteria", "risk_neutral", "--x0", "nope"],
+    ["solve", "--criterion", "ergodic_entropic", "--gamma", "1", "--reference-state", "nope"],
+    ["solve", "--criterion", "recursive_oce", "--utility", '{"type": "cvar"}'],
+    ["solve", "--criterion", "recursive_oce", "--utility", '{"type": "cvar", "alpha": "x"}'],
+    ["solve", "--criterion", "recursive_oce", "--utility", '{"type": "entropic", "gamma": null}'],
+    ["solve", "--criterion", "recursive_oce",
+     "--utility", '{"type": "piecewise_linear", "points": [[0, 0], [1]]}'],
+    ["solve", "--criterion", "recursive_oce", "--utility", '{"type": "entropic"'],
+    ["solve", "--config", '{"criterion": "total_oce", "grid": 5}'],
+    ["solve", "--config", '{"criterion": "recursive_oce", "gamma": "x"}'],
+    ["solve", "--criterion", "risk_neutral", "--tol", "inf"],
+    ["solve", "--criterion", "recursive_oce", "--tol", "inf"],
+    ["solve", "--criterion", "ergodic_entropic", "--gamma", "1", "--tol", "inf"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_malformed_input_is_a_parameter_error(capsys, fixture_paths, argv):
+    code, out, err = run(capsys, [argv[0], "--model", fixture_paths["invariant_model"], *argv[1:]])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ")
+
+
+_PARAMS = st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-300, 1.0])
+_JUNK = st.sampled_from([None, "x", [1.0], {}, True, 10**400])
+_VALUES = _PARAMS | _JUNK
+# 1e-300 is kept out of tail_eps: it asks for thousands of z-levels
+_GRID_VALUES = st.sampled_from([0.0, -1.0, math.nan, math.inf, 0.5]) | _JUNK
+_STATE_IDS = st.sampled_from(["1", "3", "s0", "s1", "0", "2", "", "nope", "s9"])
+_UTILITIES = st.fixed_dictionaries(
+    {"type": st.sampled_from(["entropic", "cvar", "mean_variance", "piecewise_linear", "nope"])
+     | _JUNK},
+    optional={"gamma": _VALUES, "alpha": _VALUES, "extra": _VALUES,
+              "points": st.just([[-1.0, -2.0], [0.0, 0.0], [1.0, 0.5]])
+              | st.lists(st.lists(_VALUES, max_size=3), max_size=3)})
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "criterion": st.sampled_from(["risk_neutral", "recursive_oce", "total_oce",
+                                  "ergodic_entropic"]) | _JUNK,
+    "utility": _UTILITIES | _JUNK,
+    "gamma": _VALUES, "alpha": _VALUES, "reference_state": _STATE_IDS | _JUNK,
+    "grid": st.fixed_dictionaries({}, optional={"y_step": _GRID_VALUES | st.just(1e-300),
+                                                "tail_eps": _GRID_VALUES}) | _JUNK,
+    "extra": _VALUES})
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(["solve", "compare"]))
+    argv = [cmd, "--model", draw(st.sampled_from(sorted(fixtures.FIXTURES)))]
+    criteria = ["risk_neutral", "recursive_oce", "total_oce", "ergodic_entropic"]
+    if cmd == "solve":
+        criterion = draw(st.none() | st.sampled_from(criteria))
+        if criterion is not None:
+            argv.append(f"--criterion={criterion}")
+        if criterion is None or draw(st.booleans()):
+            argv.append("--config=" + json.dumps(draw(_CONFIGS)))
+        if draw(st.booleans()):
+            argv.append(f"--reference-state={draw(_STATE_IDS)}")
+    else:
+        argv.append("--criteria=" + ",".join(draw(st.lists(st.sampled_from(criteria),
+                                                           min_size=1, max_size=4))))
+        if draw(st.booleans()):
+            argv.append(f"--x0={draw(_STATE_IDS)}")
+    for flag in ("tol", "gamma", "alpha"):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(_PARAMS)!r}")
+    if draw(st.booleans()):
+        argv.append("--utility=" + json.dumps(draw(_UTILITIES)))
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in strict JSON")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_any_input_exits_with_a_documented_code(fixture_paths, argv):
+    # malformed or out-of-range input never escapes main() as an exception:
+    # it ends in a documented exit code, and exit 0 prints strict JSON
+    argv[2] = fixture_paths[argv[2]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert out.getvalue() == ""

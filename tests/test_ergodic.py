@@ -232,10 +232,14 @@ class TestPreconditions:
             ergodic_policy_value(invariant_model, first_admissible_policy(invariant_model), 1e308)
         assert exc.value.iterations <= 3
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, invariant_model, tol):
         with pytest.raises(ParameterError):
             ergodic_rvi(invariant_model, 1.0, tol=tol)
+
+    def test_unknown_reference_state(self, invariant_model):
+        with pytest.raises(ParameterError, match="reference state"):
+            ergodic_rvi(invariant_model, 1.0, reference_state="nope")
 
     def test_rounding_cycle_stops_at_once(self):
         # at gamma = 1e5 the iterates alternate between two float vectors whose
@@ -316,3 +320,27 @@ class TestPreconditions:
         sol = ergodic_rvi(invariant_model, 200.0, tol=1e-10)
         # for huge risk aversion the worst-case cost dominates: xi -> max c
         assert 0.9 <= sol.xi <= 1.0 + 1e-9
+
+
+class TestAveragePrecheck:
+    def test_samples_past_the_policy_cap(self, monkeypatch):
+        # 5^6 = 15625 stationary policies: the enumeration stops at its cap of
+        # 4096 and the unichain precheck samples 64 policies instead
+        import itertools
+
+        from riskmdp import neutral
+
+        calls = []
+        check = neutral.check_unichain_aperiodic
+        monkeypatch.setattr(neutral, "check_unichain_aperiodic",
+                            lambda m, **kw: calls.append(kw) or check(m, **kw))
+        m = ring_mdp(np.random.default_rng(3))
+        sol = average_cost_rvi(m, tol=1e-11)
+        assert calls == [{"cap": 4096}, {"sample": 64}]
+        # the gain against every policy's, from its stationary law
+        rows = np.arange(m.n_states)
+        idx = np.array(list(itertools.product(range(m.n_actions), repeat=m.n_states)))
+        a = np.swapaxes(m.kernel[rows, idx], 1, 2) - np.eye(m.n_states)
+        a[:, -1, :] = 1.0
+        pi = np.linalg.solve(a, np.eye(m.n_states)[-1])
+        assert sol.gain == pytest.approx((pi * m.cost[rows, idx]).sum(axis=1).min(), abs=1e-9)

@@ -28,9 +28,9 @@ QSTAR = {("1", "b1"): 8.0 / 3.0, ("1", "b2"): 31.0 / 15.0,
 
 class TestBellman:
     def test_one_step_from_zero(self, jaquette):
-        tv, policy = bellman_T(jaquette, np.zeros(3))
+        tv, idx = bellman_T(jaquette, np.zeros(3))
         assert tv.tolist() == [1.0, 0.0, 8.0]
-        assert policy.choice == {"1": "b2", "2": "a", "3": "a"}
+        assert [jaquette.actions[i] for i in idx] == ["b2", "a", "a"]
 
     def test_zero_reward_scales(self, jaquette):
         m = FiniteMdp(
@@ -227,11 +227,16 @@ class TestAverageReward:
             average_reward_rvi(m)
         assert exc.value.iterations <= 3
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, invariant_model, tol):
         for solve in (average_reward_rvi, average_cost_rvi):
             with pytest.raises(ParameterError):
                 solve(invariant_model, tol=tol)
+
+    def test_unknown_reference_state(self, invariant_model):
+        for solve in (average_reward_rvi, average_cost_rvi):
+            with pytest.raises(ParameterError, match="reference state"):
+                solve(invariant_model, reference_state="nope")
 
     def test_unreachable_tolerance_stops_at_the_float_cycle(self):
         # the residual floor is about 1e-16 here: once an iterate recurs, no

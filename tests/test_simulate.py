@@ -265,6 +265,13 @@ class TestErgodicEstimate:
         rep = estimate_ergodic_entropic(invariant_model, f, gamma, n, 64, seed=11)
         assert abs(rep.point - xi) <= 3 * rep.std_error
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_gamma_refused(self, invariant_model, gamma):
+        # an infinite gamma gave a NaN estimate
+        f = enumerate_policies(invariant_model)[0]
+        with pytest.raises(ParameterError, match="risk aversion"):
+            estimate_ergodic_entropic(invariant_model, f, gamma, 20, 100, seed=2)
+
     def test_tiny_gamma_near_mean_cost(self, invariant_model):
         f = enumerate_policies(invariant_model)[0]
         rep = estimate_ergodic_entropic(invariant_model, f, 1e-6, 20000, 32, seed=2)
