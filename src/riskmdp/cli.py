@@ -206,11 +206,21 @@ def _policy_from_source(m, source):
             return first_admissible_policy(m)
         raise ParameterError(f"unknown fixture policy {source!r}")
     with open(source) as fh:
-        obj = json.load(fh)
-    if obj.get("stage_policy"):
-        stages = tuple(StationaryPolicy(dict(rule)) for rule in obj["stage_policy"])
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"policy file is not valid JSON: {exc}", "") from exc
+    if not isinstance(obj, dict):
+        raise ModelFormatError("policy file must be a JSON object", "")
+    rules = obj.get("stage_policy")
+    if rules:
+        if not (isinstance(rules, list) and all(isinstance(rule, dict) for rule in rules)):
+            raise ModelFormatError("'stage_policy' must be a list of JSON objects", "/stage_policy")
+        stages = tuple(StationaryPolicy(dict(rule)) for rule in rules)
         return StagePolicy(stages=stages, tail=stages[-1])
     if obj.get("policy"):
+        if not isinstance(obj["policy"], dict):
+            raise ModelFormatError("'policy' must be a JSON object", "/policy")
         return StationaryPolicy(dict(obj["policy"]))
     raise ModelFormatError("report carries neither 'policy' nor 'stage_policy'", "/policy")
 

@@ -346,8 +346,8 @@ def vanishing_discount(m, betas, reference_state=None):
     visible; they stay empty beyond 4096 policies.
     """
     m.require_valid(for_discounted=False)
-    z_id = reference_state if reference_state is not None else m.states[0]
-    z = m.state_index[z_id]
+    z = _reference_index(m, reference_state)
+    z_id = m.states[z]
     rows = []
     for beta in betas:
         if not (0.0 <= beta < 1.0):

@@ -389,6 +389,19 @@ class TestSimulateCmd:
         assert code == 4
         assert out == "" and "truncation budget" in err
 
+    @pytest.mark.parametrize("content, words", [
+        ("", "not valid JSON"), ("[1]", "JSON object"), ('{"policy": [1]}', "/policy"),
+        ('{"stage_policy": 5}', "/stage_policy"), ('{"stage_policy": [1]}', "/stage_policy")])
+    def test_policy_file_not_a_report(self, capsys, tmp_path, model_path, content, words):
+        # an empty file (as /dev/null reads), JSON that is no object or a rule
+        # that is no object is a format error with exit 2, not a traceback
+        policy = tmp_path / "policy.json"
+        policy.write_text(content)
+        code, out, err = run(capsys, ["simulate", "--model", model_path,
+                                      "--policy", str(policy), "--reps", "200"])
+        assert code == 2
+        assert out == "" and words in err
+
     def test_fixture_policy(self, capsys, model_path):
         code, out, _ = run(capsys, ["simulate", "--model", model_path,
                                     "--policy", "fixture:jaquette.f",

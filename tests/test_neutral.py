@@ -254,6 +254,11 @@ class TestAverageReward:
 
 
 class TestVanishingDiscount:
+    def test_unknown_reference_state(self, jaquette):
+        # refused like the two relative value iterations, not as a KeyError
+        with pytest.raises(ParameterError, match="reference state"):
+            vanishing_discount(jaquette, [0.9], reference_state="nope")
+
     def test_jaquette_limit(self, jaquette):
         table = vanishing_discount(jaquette, [0.9, 0.99, 0.999])
         assert [round(r.normalized_value, 5) for r in table.rows] == [1.89474, 1.98995, 1.999]

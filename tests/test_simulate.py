@@ -7,7 +7,7 @@ from riskmdp import fixtures, simulate
 from riskmdp.augmented import entropic_total
 from riskmdp.ergodic import ergodic_rvi
 from riskmdp.errors import ParameterError, PolicyError
-from riskmdp.mdp import FiniteMdp, StationaryPolicy, enumerate_policies
+from riskmdp.mdp import FiniteMdp, StagePolicy, StationaryPolicy, enumerate_policies
 from riskmdp.oce import DiscreteDistribution, UtilitySpec, _oce_sorted, cvar, logsumexp
 from riskmdp.simulate import (
     estimate,
@@ -57,32 +57,67 @@ class TestRollout:
         assert np.all(batch.discounted_rewards >= 0.0)
         assert np.all(batch.discounted_rewards <= top)
 
-    def test_stage_policy_and_hook_agree(self, jaquette):
+    def test_stage_policy_and_hook_agree(self, jaquette, monkeypatch):
         sol = entropic_total(jaquette, 1.0)
-        sp = sol.stage_policy
+        for m, policy in ((jaquette, sol.stage_policy), (gappy_model(), gappy_stage_policy())):
+            def hook(past, state):
+                return policy.rule_at(len(past)).action(state)
 
-        def hook(past, state):
-            return sp.rule_at(len(past)).action(state)
-
-        b_vec = rollout(jaquette, sp, "1", 12, seed=9, reps=50)
-        b_hook = rollout(jaquette, hook, "1", 12, seed=9, reps=50)
-        assert np.array_equal(b_vec.discounted_rewards, b_hook.discounted_rewards)
+            b_hook = rollout(m, hook, m.states[0], 12, seed=9, reps=50)
+            for by_column in (False, True):
+                monkeypatch.setattr(simulate, "_by_column", lambda columns, rows, states: by_column)
+                b_vec = rollout(m, policy, m.states[0], 12, seed=9, reps=50)
+                assert np.array_equal(b_vec.discounted_rewards, b_hook.discounted_rewards)
 
     def test_blocks_do_not_change_a_replication(self, jaquette, monkeypatch):
         # replication i draws from its own stream, so cutting the batch into
         # blocks of any size leaves every trajectory as it is, on both paths
-        f = fixtures.jaquette_policy("f")
-        whole = rollout(jaquette, f, "1", 12, seed=3, reps=600)
+        # and stepping by successor table or by whole cumulative rows; all
+        # equal a loop that inverts each row's mass over its positive entries
+        U = simulate._replication_uniforms(3, 0, 600, 12)
+        for m, policy in ((jaquette, fixtures.jaquette_policy("f")),
+                          (gappy_model(), gappy_stage_policy().tail),
+                          (gappy_model(), gappy_stage_policy())):
+            x0 = m.states[0]
+            whole = rollout(m, policy, x0, 12, seed=3, reps=600)
+            assert np.array_equal(whole.discounted_rewards, reference_rollout(m, policy, x0, U))
 
-        def hook(past, state):
-            return f.action(state)
+            def hook(past, state, policy=policy):
+                return _rule(policy, len(past)).action(state)
 
-        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 0)
-        for block in (1, 7, 256):
-            monkeypatch.setattr(simulate, "_MIN_BLOCK", block)
-            for policy in (f, hook):
-                batch = rollout(jaquette, policy, "1", 12, seed=3, reps=600)
-                assert np.array_equal(batch.discounted_rewards, whole.discounted_rewards)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_BLOCK_ELEMENTS", 0)
+                for block in (1, 7, 256, 600):
+                    patch.setattr(simulate, "_MIN_BLOCK", block)
+                    for by_column in (False, True):
+                        patch.setattr(simulate, "_by_column", lambda columns, rows, states: by_column)
+                        for pol in (policy, hook):
+                            batch = rollout(m, pol, x0, 12, seed=3, reps=600)
+                            assert np.array_equal(batch.discounted_rewards,
+                                                  whole.discounted_rewards)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_never_enters_a_state_of_probability_zero(self, monkeypatch, u):
+        # the rows of states 1 and 2 sum to 1 - 4e-13, which validates, and
+        # give states 0 and 3 no mass: a uniform of 0 or one above the total
+        # stays on the row's positive entries, and no reward is collected
+        tail = {"1": 0.5, "2": 0.5 - 4e-13}
+        m = FiniteMdp(
+            states=["0", "1", "2", "3"], actions=["a"],
+            admissible={s: ["a"] for s in "0123"},
+            transitions={"0": {"a": {"0": 1.0}}, "1": {"a": tail}, "2": {"a": tail},
+                         "3": {"a": {"3": 1.0}}},
+            rewards={"0": {"a": 1.0}, "1": {"a": 0.0}, "2": {"a": 0.0}, "3": {"a": 1.0}},
+            discount=0.5)
+        assert m.validate() == []
+        monkeypatch.setattr(simulate, "_replication_uniforms",
+                            lambda seed, lo, hi, horizon: np.full((horizon, hi - lo), u))
+        f = enumerate_policies(m)[0]
+        for by_column in (False, True):
+            monkeypatch.setattr(simulate, "_by_column", lambda columns, rows, states: by_column)
+            for policy in (f, lambda past, state: "a"):
+                batch = rollout(m, policy, "1", 6, seed=0, reps=20)
+                assert np.all(batch.discounted_rewards == 0.0)
 
     @pytest.mark.parametrize("name, seed, horizon, reps", [
         ("seed", -1, 5, 10), ("seed", -2**70, 5, 10), ("seed", 1.5, 5, 10),
@@ -103,6 +138,52 @@ class TestRollout:
         assert jaquette.discount ** (h - 1) * top > 1e-8
 
 
+def gappy_model():
+    """Rows with a zero first column, zero gaps between successors, 2 to 5
+    successors per row and an inadmissible action at state s5."""
+    states = [f"s{i}" for i in range(6)]
+    rows = {"a": [{1: .2, 3: .5, 5: .3}, {2: .4, 5: .6}, {1: .1, 2: .2, 4: .3, 5: .4},
+                  {3: .25, 4: .75}, {1: .3, 2: .1, 3: .2, 4: .1, 5: .3}, {1: .5, 4: .5}],
+            "b": [{4: 1.0}, {1: .7, 3: .3}, {1: .5, 5: .5}, {2: .9, 4: .1},
+                  {3: .6, 5: .4}, None]}
+    return FiniteMdp(
+        states=states, actions=["a", "b"],
+        admissible={s: ["a", "b"] if i < 5 else ["a"] for i, s in enumerate(states)},
+        transitions={s: {a: {states[j]: p for j, p in rows[a][i].items()}
+                         for a in ("a", "b") if rows[a][i]} for i, s in enumerate(states)},
+        rewards={s: {a: 1.0 + i + (a == "b") / 3 for a in ("a", "b") if rows[a][i]}
+                 for i, s in enumerate(states)},
+        discount=0.9)
+
+
+def gappy_stage_policy():
+    first = StationaryPolicy({f"s{i}": "ab"[i % 2] if i < 5 else "a" for i in range(6)})
+    second = StationaryPolicy({f"s{i}": "ba"[i % 2] if i < 5 else "a" for i in range(6)})
+    return StagePolicy(stages=(first, second, first), tail=second)
+
+
+def _rule(policy, t):
+    return policy.rule_at(t) if isinstance(policy, StagePolicy) else policy
+
+
+def reference_rollout(m, policy, x0, U):
+    """Discounted rewards of one loop per replication: each step goes to the
+    first positive entry of the row whose cumulative mass reaches u, or to
+    the last positive entry if none does."""
+    out = np.zeros(U.shape[1])
+    for i in range(U.shape[1]):
+        s, disc = m.state_index[x0], 1.0
+        for t in range(U.shape[0]):
+            a = m.action_index[_rule(policy, t).action(m.states[s])]
+            out[i] += disc * m.reward[s, a]
+            cum = np.cumsum(m.kernel[s, a])
+            positive = np.flatnonzero(m.kernel[s, a] > 0.0)
+            reached = positive[cum[positive] >= U[t, i]]
+            s = reached[0] if reached.size else positive[-1]
+            disc *= m.discount
+    return out
+
+
 class TestStreams:
     # one-word, multi-word and longer-than-pool (more than 4 words) entropy;
     # 40 rows step in lockstep up to horizon 6 and row by row from 7 on, and
@@ -113,14 +194,16 @@ class TestStreams:
     def test_rows_are_numpy_streams(self, monkeypatch, seed, horizon):
         # NumPy's SeedSequence and PCG64 are the reference the batched
         # seeding must reproduce bit for bit, in blocks starting anywhere,
-        # on the lockstep path, the chosen one and the per-row one
+        # on the lockstep path, the chosen one and the per-row one; a block
+        # is step-major, one contiguous row per step
         for lo, hi in ((0, 40), (37, 70), (2**32 - 3, 2**32)):
             want = np.array([
                 np.random.default_rng(np.random.SeedSequence((seed, i))).random(horizon)
-                for i in range(lo, hi)])
+                for i in range(lo, hi)]).T
             for rows_per_step in (0, simulate._LOCKSTEP_ROWS_PER_STEP, math.inf):
                 monkeypatch.setattr(simulate, "_LOCKSTEP_ROWS_PER_STEP", rows_per_step)
                 got = simulate._replication_uniforms(seed, lo, hi, horizon)
+                assert got.shape == (horizon, hi - lo) and got.flags.c_contiguous
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
