@@ -19,7 +19,10 @@ order-preserving); z is exact because it only takes the values beta^n up to a
 truncation level N with beta^N d/(1-beta) below the tail budget.  Level n
 reads only level n+1, and level N reads the terminal u(y'), so the table is
 computed exactly by one backward pass from level N down to level 0
-(:func:`backward_pass`).  The remaining error is the reported tail +
+(:func:`backward_pass`).  A level mixes each (state, action)'s successor rows
+of level n+1 by one kernel product and reads the mixture by one
+interpolation, which linearity of the interpolation allows
+(:func:`augmented_level`).  The remaining error is the reported tail +
 interpolation budget.  The table does not depend on eta, and on the
 interpolated grid eta -> eta + V(x, -eta, 1) is piecewise linear with its
 kinks at the grid points, so eta* is an exact pick over eta = 0 and the
@@ -86,7 +89,9 @@ class AugmentedGrid:
 
     def y_index(self, value):
         """Nearest grid index and rounding distance."""
-        i = int(np.clip(np.rint((value - self.y[0]) / self.y_step), 0, self.y.size - 1))
+        # plain floats: round() rounds half to even, like np.rint
+        t = (float(value) - float(self.y[0])) / self.y_step
+        i = round(min(max(t, 0.0), self.y.size - 1.0))
         return i, abs(float(self.y[i]) - float(value))
 
 
@@ -112,8 +117,9 @@ def default_grid(m, y_step=None, tail_eps=1e-8, n_trunc=None):
     """Grid sized from the model: covers every (y, z) reachable from (-eta, 1)
     with eta in [0, d/(1-beta)].
 
-    A step that is not finite and > 0, or whose grid cannot be allocated, is
-    refused with :class:`ParameterError`, and so is a bad ``tail_eps``.
+    A step that is not finite and > 0, that is wider than the accumulation
+    range d/(1-beta), or whose grid cannot be allocated, is refused with
+    :class:`ParameterError`, and so is a bad ``tail_eps``.
     """
     beta = m.discount
     if not (0.0 <= beta < 1.0):
@@ -124,6 +130,10 @@ def default_grid(m, y_step=None, tail_eps=1e-8, n_trunc=None):
     step = top / 400.0 if y_step is None else float(y_step)
     if not (step > 0.0 and math.isfinite(step)):
         raise ParameterError(f"grid step must be finite and > 0, got {y_step}")
+    if step > top:
+        # the grid would skip y = 0 and interpolate u across the whole range
+        raise ParameterError(f"grid step {step:g} is wider than the accumulation "
+                             f"range d/(1-beta) = {top:g}")
     if n_trunc is None:
         n_trunc = _truncation_depth(beta, m.reward_bound, tail_eps)
     # ceil so the last point reaches the accumulation bound even when the
@@ -158,35 +168,47 @@ def bound_upper(m, spec, grid):
 def augmented_level(m, spec, grid, n, next_level):
     """Level n of the extended-space Bellman operator: values and argmax.
 
-    Level n reads only ``next_level``, the (state, y) table of level n+1
+    Level n reads only ``next_level``, the (state, y) table F of level n+1
     (z-shift exact, y-shift by linear interpolation).  ``None`` marks the
     deepest level, which reads the terminal continuation u(y'), i.e. future
     reward zero, consistent with the lower bound.  y arguments beyond the grid
     top are clamped to the top value, which preserves monotonicity and never
     affects points reachable from (x0, -eta, 1) with eta in [0, d/(1-beta)].
+
+    Interpolation is linear in the table, so the successors of (x, a), all
+    read at the same shift y + z r(x, a), are mixed first:
+
+        sum_x' q(x'|x,a) interp(y + z r, F[x']) = interp(y + z r, sum_x' q(x'|x,a) F[x']),
+
+    one kernel product for every admissible row and one interpolation per
+    row.  A -inf entry of F (u overflows at the bottom of the grid) stays
+    -inf in a row's mixture only where a successor of positive probability
+    holds it; a successor of probability 0 adds nothing, as 0 * (-inf) = NaN
+    would.  Ties go to the first maximizing action in declared order.
     """
-    ny = grid.y.size
-    z = grid.z(n)
-    values = np.empty((m.n_states, ny))
-    argmax = np.zeros((m.n_states, ny), dtype=np.int16)
-    for si in range(m.n_states):
-        best = np.full(ny, -np.inf)
-        best_a = np.zeros(ny, dtype=np.int16)
-        for a in m.admissible[m.states[si]]:
-            ai = m.action_index[a]
-            y2 = grid.y + z * m.reward[si, ai]
-            if next_level is None:
-                val = np.asarray(spec.u(y2), dtype=float)
-            else:
-                row = m.kernel[si, ai]
-                val = np.zeros(ny)
-                for xi in np.flatnonzero(row):
-                    val += row[xi] * np.interp(y2, grid.y, next_level[xi])
-            better = val > best
-            best = np.where(better, val, best)
-            best_a = np.where(better, np.int16(ai), best_a)
-        values[si] = best
-        argmax[si] = best_a
+    rows = np.nonzero(m.admissible_mask)  # (state, action) pairs, declared order
+    shifts = grid.z(n) * m.reward[rows]
+    # q[a, x, j]: the value of action a at (x, y_j); -inf where a is inadmissible
+    q = np.full((m.n_actions, m.n_states, grid.y.size), -np.inf)
+    if next_level is None:
+        q[rows[1], rows[0]] = spec.u(grid.y + shifts[:, None])
+    else:
+        kernel = m.kernel[rows]
+        neg = np.isneginf(next_level)
+        if neg.any():
+            mixed = kernel @ np.where(neg, 0.0, next_level)
+            mixed[(kernel > 0.0) @ neg] = -np.inf
+        else:
+            mixed = kernel @ next_level
+        for si, ai, shift, row in zip(*rows, shifts, mixed):
+            q[ai, si] = np.interp(grid.y + shift, grid.y, row)
+    # the first maximum in declared action order, as in recursive._greedy
+    values = q[0].copy()
+    argmax = np.zeros(values.shape, dtype=np.int16)
+    for ai in range(1, m.n_actions):
+        better = q[ai] > values
+        np.copyto(values, q[ai], where=better)
+        argmax[better] = ai
     return values, argmax
 
 
@@ -220,14 +242,14 @@ def backward_pass(m, spec, grid):
     m.require_valid()
     table = np.empty((grid.n_levels, m.n_states, grid.y.size))
     argmax = np.empty(table.shape, dtype=np.int16)
-    lower = np.asarray(spec.u(grid.y), dtype=float)
+    lower = spec.u(grid.y) - 1e-9
     top = m.reward_bound / (1.0 - grid.beta)
     within_bounds = True
     for n in range(grid.n_trunc, -1, -1):
         nxt = table[n + 1] if n < grid.n_trunc else None
         table[n], argmax[n] = augmented_level(m, spec, grid, n, nxt)
-        upper = spec.u(grid.z(n) * top + grid.y)
-        if np.any(table[n] < lower - 1e-9) or np.any(table[n] > upper + 1e-9):
+        upper = spec.u(grid.z(n) * top + grid.y) + 1e-9
+        if np.any(table[n].min(axis=0) < lower) or np.any(table[n].max(axis=0) > upper):
             within_bounds = False
     return table, argmax, within_bounds
 
@@ -373,6 +395,9 @@ def _realize_stage_policy(m, grid, argmax, x0_idx, eta_star):
     the first admissible action (the exact history-dependent decision is
     always available through :func:`reconstruct_policy_action`).
     """
+    first = [(s, m.admissible[s][0]) for s in m.states]
+    rewards = m.reward.tolist()
+    successors = {}  # (state, action) -> [(successor, probability)], built once
     rules = []
     current = {x0_idx: (1.0, -eta_star)}
     for n in range(grid.n_trunc):
@@ -384,14 +409,18 @@ def _realize_stage_policy(m, grid, argmax, x0_idx, eta_star):
             yi, _ = grid.y_index(y)
             ai = int(argmax[n, si, yi])
             choice[m.states[si]] = m.actions[ai]
-            y2 = y + z * m.reward[si, ai]
-            row = m.kernel[si, ai]
-            for xi in np.flatnonzero(row):
-                cand = (p * row[xi], y2)
-                if xi not in nxt or cand[0] > nxt[xi][0] + 1e-15:
-                    nxt[int(xi)] = cand
-        for s in m.states:
-            choice.setdefault(s, m.admissible[s][0])
+            y2 = y + z * rewards[si][ai]
+            row = successors.get((si, ai))
+            if row is None:
+                probs = m.kernel[si, ai]
+                support = np.flatnonzero(probs)
+                row = successors[si, ai] = list(zip(support.tolist(), probs[support].tolist()))
+            for xi, q in row:
+                cand = p * q
+                if xi not in nxt or cand > nxt[xi][0] + 1e-15:
+                    nxt[xi] = (cand, y2)
+        for s, a in first:
+            choice.setdefault(s, a)
         rules.append(StationaryPolicy(choice))
         current = nxt
     tail = rules[-1] if rules else first_admissible_policy(m)
@@ -419,8 +448,11 @@ def solve_total_oce(m, spec, grid=None, x0=None, estimate_interp_error=False):
     tail_error = _tail_error(m.discount, m.reward_bound, grid.n_trunc)
     interp_est = None
     if estimate_interp_error:
-        coarse = default_grid(m, y_step=2.0 * grid.y_step, tail_eps=grid.tail_eps,
-                              n_trunc=grid.n_trunc)
+        try:
+            coarse = default_grid(m, y_step=2.0 * grid.y_step, tail_eps=grid.tail_eps,
+                                  n_trunc=grid.n_trunc)
+        except ParameterError as exc:
+            raise ParameterError(f"interpolation estimate at twice the step: {exc}") from None
         ctable, _, _ = backward_pass(m, spec, coarse)
         _, cvalues = _eta_pick(coarse, ctable[0])
         interp_est = abs(float(values[x0_idx] - cvalues[x0_idx]))

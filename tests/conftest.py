@@ -23,9 +23,11 @@ def invariant_model():
 
 
 def random_mdp(rng, n_states=4, n_actions=2, beta=0.9, reward_scale=1.0,
-               min_prob=0.05, with_costs=False, full_admissible=True):
+               min_prob=0.05, with_costs=False, full_admissible=True, successors=None):
     """Random dense model; min_prob > 0 makes every chain irreducible and
-    aperiodic, so average-criterion preconditions hold by construction."""
+    aperiodic, so average-criterion preconditions hold by construction.
+    With ``successors`` = k each row instead puts its mass on k random
+    states, with no min_prob floor."""
     states = [f"s{i}" for i in range(n_states)]
     actions = [f"a{j}" for j in range(n_actions)]
     admissible = {}
@@ -44,7 +46,11 @@ def random_mdp(rng, n_states=4, n_actions=2, beta=0.9, reward_scale=1.0,
         costs[s] = {}
         for a in acts:
             raw = rng.random(n_states) + 1e-3
-            row = (1.0 - min_prob) * raw / raw.sum() + min_prob / n_states
+            if successors is None:
+                row = (1.0 - min_prob) * raw / raw.sum() + min_prob / n_states
+            else:
+                raw[rng.permutation(n_states)[successors:]] = 0.0
+                row = raw / raw.sum()
             row = row / row.sum()
             transitions[s][a] = {y: float(p) for y, p in zip(states, row)}
             rewards[s][a] = float(reward_scale * rng.random())

@@ -198,3 +198,36 @@ def bfs_reachability(adj):
                         nxt.append(v)
             frontier = nxt
     return reach
+
+
+def augmented_level_loop(m, spec, grid, n, next_level):
+    """One z-level of the extended-space operator, one interpolation per
+    (state, action, successor): (values, argmax) over the (state, y) grid.
+
+    Every successor's row of ``next_level`` (``None``: the terminal u(y')) is
+    read at y + z r(x, a) and weighted by its probability; the first maximum
+    in declared action order wins.  Successors of probability 0 are skipped.
+    """
+    ny = grid.y.size
+    z = grid.beta ** n
+    values = np.empty((m.n_states, ny))
+    argmax = np.zeros((m.n_states, ny), dtype=np.int16)
+    for si, s in enumerate(m.states):
+        best = np.full(ny, -np.inf)
+        best_a = np.zeros(ny, dtype=np.int16)
+        for a in m.admissible[s]:
+            ai = m.action_index[a]
+            y2 = grid.y + z * m.reward[si, ai]
+            if next_level is None:
+                val = np.asarray(spec.u(y2), dtype=float)
+            else:
+                row = m.kernel[si, ai]
+                val = np.zeros(ny)
+                for xi in np.flatnonzero(row):
+                    val += row[xi] * np.interp(y2, grid.y, next_level[xi])
+            better = val > best
+            best = np.where(better, val, best)
+            best_a = np.where(better, np.int16(ai), best_a)
+        values[si] = best
+        argmax[si] = best_a
+    return values, argmax

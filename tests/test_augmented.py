@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskmdp import fixtures
+from riskmdp import augmented, fixtures
 from riskmdp.augmented import (
     augmented_T,
     backward_pass,
@@ -21,7 +21,7 @@ from riskmdp.neutral import value_iteration
 from riskmdp.oce import UtilitySpec
 
 from conftest import random_mdp
-from oracles import jaquette_mgf_value, jaquette_switch_threshold
+from oracles import augmented_level_loop, jaquette_mgf_value, jaquette_switch_threshold
 
 MGF_VALUE = 1.641566679441988  # frozen from jaquette_mgf_value(40)
 
@@ -178,6 +178,62 @@ class TestBackwardPass:
         assert sol.report().iterations == 2
         assert np.array_equal(sol.table, sand.table)
         assert np.array_equal(sol.argmax, sand.argmax)
+
+
+def _level_models():
+    rng = np.random.default_rng(38)
+    return [fixtures.jaquette(), fixtures.invariant_model(), fixtures.inventory_toy(),
+            random_mdp(rng, n_states=5, n_actions=3, beta=0.5),
+            random_mdp(rng, n_states=6, n_actions=3, beta=0.6, full_admissible=False),
+            random_mdp(rng, n_states=6, n_actions=3, beta=0.5, successors=2),
+            random_mdp(rng, n_states=8, n_actions=2, beta=0.6, successors=3,
+                       full_admissible=False)]
+
+
+def _solve_both(monkeypatch, m, spec):
+    """solve_total_oce with the mixed level kernel, then with the
+    per-successor reference loop in its place."""
+    sol = solve_total_oce(m, spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(augmented, "augmented_level", augmented_level_loop)
+        ref = solve_total_oce(m, spec)
+    return sol, ref
+
+
+def _rules(sol):
+    """Every stage rule as (state, action) pairs in report order."""
+    return [list(rule.choice.items()) for rule in sol.stage_policy.stages]
+
+
+class TestLevelKernel:
+    # no piece of slope 1: there eta + E u(R - eta) is flat in eta, and its
+    # first maximizer would turn on the last bit of the level-0 values
+    @pytest.mark.parametrize("spec", [
+        UtilitySpec.cvar(0.2), UtilitySpec.mean_variance(),
+        UtilitySpec.piecewise_linear([(-1.0, -3.0), (0.0, 0.0), (1.0, 0.4)]),
+    ], ids=lambda spec: spec.kind)
+    def test_mixture_equals_per_successor_loop(self, monkeypatch, spec):
+        # interpolation is linear in the table, so mixing the successor rows
+        # first and reading the mixture once changes only rounding
+        for m in _level_models():
+            sol, ref = _solve_both(monkeypatch, m, spec)
+            assert np.all(np.abs(sol.table - ref.table)
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref.table)))
+            for s in m.states:
+                assert abs(sol.values_by_state[s] - ref.values_by_state[s]) <= 1e-12, s
+            assert sol.eta_star == ref.eta_star
+            assert _rules(sol) == _rules(ref)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in expm1")
+    def test_minus_infinity_in_the_table(self, monkeypatch, jaquette):
+        # at gamma = 50 the entropic u(y) overflows to -inf at the bottom of
+        # the grid; a successor of probability 0 must not turn it into NaN
+        sol, ref = _solve_both(monkeypatch, jaquette, UtilitySpec.entropic(50.0))
+        assert np.isneginf(ref.table).any()
+        assert ref.value == pytest.approx(1.3217960763973227, abs=1e-12)
+        assert abs(sol.value - ref.value) <= 1e-12
+        assert np.array_equal(np.isneginf(sol.table), np.isneginf(ref.table))
+        assert _rules(sol) == _rules(ref)
 
 
 class TestEntropicTotal:

@@ -566,7 +566,8 @@ def fixture_paths(tmp_path_factory):
     return paths
 
 
-# each of these died with a traceback or, for --tol inf, exited 0
+# each of these died with a traceback or, for --tol inf and a grid step wider
+# than the accumulation range d/(1-beta) = 2, exited 0
 @pytest.mark.parametrize("argv", [
     ["compare", "--criteria", "risk_neutral", "--x0", "nope"],
     ["solve", "--criterion", "ergodic_entropic", "--gamma", "1", "--reference-state", "nope"],
@@ -581,6 +582,7 @@ def fixture_paths(tmp_path_factory):
     ["solve", "--criterion", "risk_neutral", "--tol", "inf"],
     ["solve", "--criterion", "recursive_oce", "--tol", "inf"],
     ["solve", "--criterion", "ergodic_entropic", "--gamma", "1", "--tol", "inf"],
+    ["solve", "--criterion", "total_oce", "--alpha", "0.2", "--y-step", "5"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_malformed_input_is_a_parameter_error(capsys, fixture_paths, argv):
     code, out, err = run(capsys, [argv[0], "--model", fixture_paths["invariant_model"], *argv[1:]])
