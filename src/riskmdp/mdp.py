@@ -30,6 +30,54 @@ from .errors import (
 
 _ROW_TOL = 1e-12
 
+# a probability, reward or cost: int, float or a NumPy real scalar, not a bool
+_REAL = (int, float, np.integer, np.floating)
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               str: "a string", list: "an array", dict: "an object"}
+
+
+def _json_type(x):
+    return _JSON_TYPES.get(type(x), type(x).__name__)
+
+
+def _object(x, pointer):
+    """x itself if it is a JSON object; refused with its pointer otherwise."""
+    if not isinstance(x, dict):
+        raise ModelFormatError(f"expected an object, got {_json_type(x)}", pointer)
+    return x
+
+
+def _numbers(row, pointer):
+    """The values of the object ``row`` as float64, in key order.  A value
+    that is not a real number (a bool, string, null, array or object) is
+    refused with its own pointer; the common all-int/float row is checked by
+    its set of value types alone."""
+    if not {type(x) for x in row.values()} <= {int, float}:
+        for key, x in row.items():
+            if isinstance(x, bool) or not isinstance(x, _REAL):
+                raise ModelFormatError(f"expected a number, got {_json_type(x)}",
+                                       f"{pointer}/{key}")
+    try:
+        return np.fromiter(row.values(), float, len(row))
+    except OverflowError:
+        raise ModelFormatError("number out of float range", pointer) from None
+
+
+def _index(index, kind, key, pointer):
+    """index[key]; an unknown or unhashable id is refused with the pointer."""
+    try:
+        return index[key]
+    except (KeyError, TypeError):
+        raise ModelFormatError(f"unknown {kind} {key!r}", pointer) from None
+
+
+def _indices(index, kind, ids, pointer):
+    """[index[key] for key in ids], refused as in :func:`_index`."""
+    try:
+        return [index[key] for key in ids]
+    except (KeyError, TypeError):
+        return [_index(index, kind, key, pointer) for key in ids]
+
 
 class FiniteMdp:
     """Immutable tabular MDP.
@@ -37,7 +85,10 @@ class FiniteMdp:
     Construction is lenient so that :meth:`validate` can report semantic
     violations (bad row sums, negative rewards, empty admissible sets) instead
     of throwing; structural problems (unknown ids, wrong types) are rejected
-    during parsing.
+    during parsing with :class:`ModelFormatError` and the pointer of the
+    offending element.  Each kernel, reward and cost row is checked and
+    stored as a whole: its ids resolved in one pass, its values in one
+    assignment.
     """
 
     def __init__(self, states, actions, admissible, transitions, rewards,
@@ -54,12 +105,15 @@ class FiniteMdp:
 
         ns, na = len(self.states), len(self.actions)
         self.admissible_mask = np.zeros((ns, na), dtype=bool)
-        raw_admissible = {s: list(admissible.get(s, [])) for s in self.states}
-        for s, acts in raw_admissible.items():
-            for a in acts:
-                if a not in self.action_index:
-                    raise ModelFormatError(f"unknown action {a!r}", f"/admissible/{s}")
-                self.admissible_mask[self.state_index[s], self.action_index[a]] = True
+        raw_admissible = {s: [] for s in self.states}
+        for s, acts in _object(admissible, "/admissible").items():
+            si = _index(self.state_index, "state", s, "/admissible")
+            if not isinstance(acts, (list, tuple)):
+                raise ModelFormatError(f"expected an array, got {_json_type(acts)}",
+                                       f"/admissible/{s}")
+            raw_admissible[s] = list(acts)
+            cols = _indices(self.action_index, "action", acts, f"/admissible/{s}")
+            self.admissible_mask[si, cols] = True
         # canonical per-state order = declared action order, so every
         # tie-break (vectorized argmax or per-state loop) agrees
         self.admissible = {
@@ -71,49 +125,37 @@ class FiniteMdp:
         # nothing reads them, and to_dict() would drop them
         self._inadmissible_entries = []
         self.kernel = np.zeros((ns, na, ns))
-        for s, row in transitions.items():
-            si = self._sidx(s, "/transitions")
-            for a, dist in row.items():
-                ai = self._aidx(a, f"/transitions/{s}")
-                self._note_inadmissible("transitions", s, a)
-                for y, p in dist.items():
-                    yi = self._sidx(y, f"/transitions/{s}/{a}")
-                    self.kernel[si, ai, yi] = float(p)
+        for s, row in _object(transitions, "/transitions").items():
+            si = _index(self.state_index, "state", s, "/transitions")
+            for a, dist in _object(row, f"/transitions/{s}").items():
+                ai = _index(self.action_index, "action", a, f"/transitions/{s}")
+                self._note_inadmissible("transitions", s, [a])
+                pointer = f"/transitions/{s}/{a}"
+                cols = _indices(self.state_index, "state", _object(dist, pointer), pointer)
+                self.kernel[si, ai, cols] = _numbers(dist, pointer)
         # read-only, so the cached log_kernel cannot go stale
         self.kernel.flags.writeable = False
 
-        self.reward = np.zeros((ns, na))
-        for s, row in rewards.items():
-            si = self._sidx(s, "/rewards")
-            for a, r in row.items():
-                self.reward[si, self._aidx(a, f"/rewards/{s}")] = float(r)
-                self._note_inadmissible("rewards", s, a)
+        self.reward = self._action_table("rewards", rewards)
+        self.cost = None if costs is None else self._action_table("costs", costs)
 
-        self.cost = None
-        if costs is not None:
-            self.cost = np.zeros((ns, na))
-            for s, row in costs.items():
-                si = self._sidx(s, "/costs")
-                for a, c in row.items():
-                    self.cost[si, self._aidx(a, f"/costs/{s}")] = float(c)
-                    self._note_inadmissible("costs", s, a)
+    def _action_table(self, name, table):
+        """The (S, A) array of a rewards or costs object, one row per state."""
+        out = np.zeros((self.n_states, self.n_actions))
+        for s, row in _object(table, f"/{name}").items():
+            si = _index(self.state_index, "state", s, f"/{name}")
+            pointer = f"/{name}/{s}"
+            cols = _indices(self.action_index, "action", _object(row, pointer), pointer)
+            out[si, cols] = _numbers(row, pointer)
+            self._note_inadmissible(name, s, row)
+        return out
 
-    def _note_inadmissible(self, table, s, a):
-        if not self.admissible_mask[self.state_index[s], self.action_index[a]]:
-            self._inadmissible_entries.append(
-                f"{table}[{s}][{a}]: action {a} is not admissible at state {s}")
-
-    def _sidx(self, s, pointer):
-        try:
-            return self.state_index[s]
-        except KeyError:
-            raise ModelFormatError(f"unknown state {s!r}", pointer) from None
-
-    def _aidx(self, a, pointer):
-        try:
-            return self.action_index[a]
-        except KeyError:
-            raise ModelFormatError(f"unknown action {a!r}", pointer) from None
+    def _note_inadmissible(self, table, s, acts):
+        si = self.state_index[s]
+        for a in acts:
+            if not self.admissible_mask[si, self.action_index[a]]:
+                self._inadmissible_entries.append(
+                    f"{table}[{s}][{a}]: action {a} is not admissible at state {s}")
 
     @property
     def n_states(self):
@@ -240,6 +282,10 @@ class FiniteMdp:
             raise ModelFormatError("missing required field 'discount'", "/discount")
         if not isinstance(obj["discount"], (int, float)) or isinstance(obj["discount"], bool):
             raise ModelFormatError("field 'discount' must be a number", "/discount")
+        try:
+            discount = float(obj["discount"])
+        except OverflowError:
+            raise ModelFormatError("number out of float range", "/discount") from None
         return cls(
             states=[str(s) for s in obj["states"]],
             actions=[str(a) for a in obj["actions"]],
@@ -247,7 +293,7 @@ class FiniteMdp:
             transitions=obj["transitions"],
             rewards=obj["rewards"],
             costs=obj.get("costs"),
-            discount=obj["discount"],
+            discount=discount,
         )
 
     def __eq__(self, other):

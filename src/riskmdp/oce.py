@@ -12,7 +12,16 @@ supremum can be restricted to the support interval.
 Each kind below has an exact closed form, and all of them live in one
 batched layer, :func:`_oce_sorted`, which :func:`oce`, the recursive sweep and
 the simulate bootstrap share.  :func:`oce_generic`, a direct search, is the
-independent reference the closed forms are tested against.  The kinds:
+independent reference the closed forms are tested against.
+
+For the kinds that sort the atoms, a row's order enters only through
+cumulative sums of its weights p, so each is split in two: a p-part
+(:func:`_oce_weights`: the cvar tail take and quantile index; the
+mean-variance P = cumsum(p), P - p and support ends; the piecewise-linear F
+and support ends) and an x-part that reads the atoms.  A caller that sees
+the same rows in the same order again, as the recursive sweeps do between
+changes of the sort order, keeps the p-part and gets the same bits.  The
+kinds:
 
 * entropic, u(t) = (1 - exp(-gamma t)) / gamma:
       S_u(X) = -(1/gamma) ln E[exp(-gamma X)]
@@ -265,31 +274,36 @@ class OceResult:
     eta_star: float
 
 
-def _cvar_take(p, alpha):
-    """The share of each ascending atom in the worst alpha of its row, and the
-    mass below it."""
+def _cvar_weights(p, spec):
+    """The p-part of :func:`_cvar_sorted`: the share of each ascending atom in
+    the worst alpha of its row, and the index of the lower alpha-quantile
+    atom, the last with less than alpha below it (before[..., 0] = 0 < alpha)."""
     before = np.cumsum(p, axis=-1) - p
-    return np.minimum(p, np.maximum(alpha - before, 0.0)), before
+    take = np.minimum(p, np.maximum(spec.alpha - before, 0.0))
+    return take, (before < spec.alpha).sum(axis=-1) - 1
 
 
-def _cvar_sorted(p, x, spec):
+def _cvar_sorted(p, w, x, spec):
     """-CVaR_alpha per row: the mean of the worst alpha-share of the atoms x,
     attained at the lower alpha-quantile."""
-    take, before = _cvar_take(p, spec.alpha)
-    # the last atom with less than alpha below it; before[..., 0] = 0 < alpha
-    eta = x[(before < spec.alpha).sum(axis=-1) - 1]
-    return (take * x).sum(axis=-1) / spec.alpha, eta
+    take, quantile = w
+    return (take * x).sum(axis=-1) / spec.alpha, x[quantile]
 
 
-def _support_ends(p, x):
-    """Smallest and largest atom with positive mass, per row."""
+def _support_index(p):
+    """Indices of the smallest and largest atom with positive mass, per row."""
     pos = p > 0.0
-    lo = x[np.argmax(pos, axis=-1)]
-    hi = x[x.size - 1 - np.argmax(pos[..., ::-1], axis=-1)]
-    return lo, hi
+    return np.argmax(pos, axis=-1), p.shape[-1] - 1 - np.argmax(pos[..., ::-1], axis=-1)
 
 
-def _mean_variance_sorted(p, x, spec):
+def _mean_variance_weights(p, spec):
+    """The p-part of :func:`_mean_variance_sorted`: P = cumsum(p), the mass
+    P - p below each atom and the support ends."""
+    P = np.cumsum(p, axis=-1)
+    return (P, P - p, *_support_index(p))
+
+
+def _mean_variance_sorted(p, w, x, spec):
     """Exact sup_eta { eta + E u(X - eta) } per row, u(t) = t - t^2/2 capped at 1/2.
 
     The first-order condition sum_{x_i < eta+1} p_i (1 + eta - x_i) = 1 is
@@ -299,14 +313,15 @@ def _mean_variance_sorted(p, x, spec):
     x_j P_{<j} - M_{<j}, nondecreasing in j, so k counts the atoms where it is
     below 1.
     """
-    P = np.cumsum(p, axis=-1)
-    M = np.cumsum(p * x, axis=-1)
-    k = (x * (P - p) - (M - p * x) < 1.0).sum(axis=-1)[..., None] - 1
-    Pk = np.take_along_axis(P, k, axis=-1)[..., 0]
-    Mk = np.take_along_axis(M, k, axis=-1)[..., 0]
+    P, below, lo, hi = w
+    px = p * x
+    M = np.cumsum(px, axis=-1)
+    k = (x * below - (M - px) < 1.0).sum(axis=-1) - 1
+    k = k + np.arange(0, P.size, x.size).reshape(k.shape)  # into the flattened rows
+    Pk, Mk = P.reshape(-1)[k], M.reshape(-1)[k]
     # all-zero (inadmissible) rows get a finite placeholder
     eta = (1.0 + Mk) / np.where(Pk > 0.0, Pk, 1.0) - 1.0
-    eta = np.clip(eta, *_support_ends(p, x))
+    eta = np.clip(eta, x[lo], x[hi])
     return eta + (p * spec.u(x - eta[..., None])).sum(axis=-1), eta
 
 
@@ -320,7 +335,17 @@ def _pwl_parts(spec):
     return ts[1:-1], slopes[:-1] - slopes[1:], s, us[-1] - s * ts[-1]
 
 
-def _piecewise_linear_sorted(p, x, spec):
+def _with_zero(a):
+    """a with a 0 before each row: the cumulative sums below each atom."""
+    return np.concatenate((np.zeros(a.shape[:-1] + (1,)), a), axis=-1)
+
+
+def _piecewise_linear_weights(p, spec):
+    """The p-part of :func:`_piecewise_linear_sorted`: F and the support ends."""
+    return (_with_zero(np.cumsum(p, axis=-1)), *_support_index(p))
+
+
+def _piecewise_linear_sorted(p, w, x, spec):
     """Exact sup_eta { eta + E u(X - eta) } per row for a concave piecewise-linear u.
 
     Written as u(t) = c + s t + sum_j d_j min(t - k_j, 0) over the interior
@@ -333,13 +358,11 @@ def _piecewise_linear_sorted(p, x, spec):
     maximum over the support sits at a kink x_i - k_j or at an end; the
     candidates are clipped to each row's support.  Memory is rows * n * J.
     """
+    F, lo, hi = w
     kinks, drops, s, c = _pwl_parts(spec)
-    zero = np.zeros(p.shape[:-1] + (1,))
-    F = np.concatenate((zero, np.cumsum(p, axis=-1)), axis=-1)
-    M = np.concatenate((zero, np.cumsum(p * x, axis=-1)), axis=-1)
+    M = _with_zero(np.cumsum(p * x, axis=-1))
     cands = np.concatenate(((x[:, None] - kinks).ravel(), x[:1]))
-    lo, hi = _support_ends(p, x)
-    eta = np.clip(cands, lo[..., None], hi[..., None])
+    eta = np.clip(cands, x[lo][..., None], x[hi][..., None])
     obj = eta + c + s * (M[..., -1:] - eta)
     for k, d in zip(kinks, drops):
         y = eta + k
@@ -350,14 +373,25 @@ def _piecewise_linear_sorted(p, x, spec):
             np.take_along_axis(eta, best, axis=-1)[..., 0])
 
 
+# kind -> (p-part, x-part): the p-part reads the weights only, so a caller
+# that keeps the atom order keeps it (see :func:`_oce_sorted`)
 _SORTED_OCE = {
-    "cvar": _cvar_sorted,
-    "mean_variance": _mean_variance_sorted,
-    "piecewise_linear": _piecewise_linear_sorted,
+    "cvar": (_cvar_weights, _cvar_sorted),
+    "mean_variance": (_mean_variance_weights, _mean_variance_sorted),
+    "piecewise_linear": (_piecewise_linear_weights, _piecewise_linear_sorted),
 }
 
 
-def _oce_sorted(p, x, spec, log_p=None):
+def _oce_weights(p, spec):
+    """The p-part of :func:`_oce_sorted` for a sorted kind: a tuple of arrays,
+    each with p's leading (row) axes, that :func:`_oce_sorted` accepts as
+    ``weights`` for any ascending atoms of the same order."""
+    if spec.kind not in _SORTED_OCE:
+        raise UnsupportedUtilityError(f"unknown utility kind {spec.kind!r}")
+    return _SORTED_OCE[spec.kind][0](p, spec)
+
+
+def _oce_sorted(p, x, spec, log_p=None, weights=None):
     """(S_u, maximizing eta) for every row of weights p over the atoms x: the
     one place each utility kind's formula lives.
 
@@ -366,17 +400,22 @@ def _oce_sorted(p, x, spec, log_p=None):
     entropic kind is a log-sum-exp that needs no atom order; it reads ln p
     from ``log_p`` when the caller has it cached, and its maximizer is the
     value itself (first-order condition E e^{-gamma (X - eta)} = 1).
+
+    Each sorted kind is a p-part, which depends on the weights alone
+    (:func:`_oce_weights`), followed by an x-part.  A caller that evaluates
+    the same rows in the same atom order again passes the p-part it kept as
+    ``weights``; the result is the same bits as without it.
     """
     if spec.kind == "entropic":
         log_p = np.log(p) if log_p is None else log_p
         value = -logsumexp(log_p - spec.gamma * x, axis=-1) / spec.gamma
         return value, value
-    if spec.kind not in _SORTED_OCE:
-        raise UnsupportedUtilityError(f"unknown utility kind {spec.kind!r}")
-    return _SORTED_OCE[spec.kind](p, x, spec)
+    if weights is None:
+        weights = _oce_weights(p, spec)
+    return _SORTED_OCE[spec.kind][1](p, weights, x, spec)
 
 
-def _oce_gradient(p, x, spec, eta, log_p=None):
+def _oce_gradient(p, x, spec, eta, log_p=None, weights=None):
     """dS_u/dx_i = p_i u'(x_i - eta*) for every row of :func:`_oce_sorted`, at
     the eta* it returned: the risk-adjusted ("dual") weights of the rows.
 
@@ -385,13 +424,14 @@ def _oce_gradient(p, x, spec, eta, log_p=None):
     has a kink, u' at an atom on it can be any slope between the two sides;
     such atoms (the cvar quantile atom, the piecewise-linear atoms within
     rounding of a kink) take the remainder of their row.  Shapes and atom
-    order are those of :func:`_oce_sorted`, and so is ``log_p``.
+    order are those of :func:`_oce_sorted`, and so are ``log_p`` and
+    ``weights``.
     """
     if spec.kind == "entropic":  # the tilted kernel p e^{-gamma (x - eta*)}
         log_p = np.log(p) if log_p is None else log_p
         return np.exp(log_p - spec.gamma * (x - eta[..., None]))
     if spec.kind == "cvar":
-        return _cvar_take(p, spec.alpha)[0] / spec.alpha
+        return (_cvar_weights(p, spec) if weights is None else weights)[0] / spec.alpha
     if spec.kind == "mean_variance":
         return p * np.maximum(0.0, 1.0 - (x - eta[..., None]))
     if spec.kind != "piecewise_linear":

@@ -19,7 +19,12 @@ runs on a single law:
   under- or overflows and needs no order (the ergodic log sweep is this
   layer too, and no other module reads the log kernel);
 * cvar, mean_variance, piecewise_linear: V is sorted once per sweep, and the
-  kernel rows, permuted to that order, are the layer's rows.
+  kernel rows, permuted to that order, are the layer's rows.  Each solve
+  keeps one memo, :class:`_SortedRows`: the last (row selection, stable
+  argsort of V) with its permuted rows and their p-part
+  (:func:`~riskmdp.oce._oce_weights`).  It is rebuilt only when the key
+  changes, which in a value iteration happens a few times in all, and a
+  sweep from the memo gives the same bits as one without it.
 
 Every solver takes its greedy step, the masked max and first argmax of an
 (S, A) action-value table, from :func:`_greedy`, and its stopping tolerance
@@ -28,7 +33,8 @@ through :func:`_check_tol`: one <= 0 or not finite is refused.
 The solver, :func:`policy_iteration_recursive`, is Newton's method on the
 same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
 weights Q[x, y] = q(y|x,a) u'(V(y) - eta*) (:func:`_dual_kernel`, built
-from the sweep's eta* for the greedy rows only), and each step solves
+from the sweep's eta* for the greedy rows only, and for CVaR the memo's tail
+take / alpha of those rows), and each step solves
 (I - beta Q_f) dV = LV - V for the greedy f.  It takes a few steps where
 value iteration (:func:`solve_recursive`, its verification path) takes
 hundreds of sweeps at beta near 1.  :func:`policy_evaluation_recursive` is
@@ -48,7 +54,14 @@ import numpy as np
 from .errors import IterationLimitError, ParameterError
 from .mdp import StationaryPolicy, value_dict
 # oce: the per-row reference of the tests, wrapped by name in bench/tracing.py
-from .oce import DiscreteDistribution, UtilitySpec, _oce_gradient, _oce_sorted, oce  # noqa: F401
+from .oce import (  # noqa: F401
+    DiscreteDistribution,
+    UtilitySpec,
+    _oce_gradient,
+    _oce_sorted,
+    _oce_weights,
+    oce,
+)
 from .report import SolveReport
 
 # sweeps allowed past the contraction bound, for rounding near the stop level
@@ -86,20 +99,59 @@ def push_forward(m, state_idx, action_idx, v):
     return DiscreteDistribution(uniq, merged / merged.sum())
 
 
-def _successor_layer(m, spec, v, idx=None):
+class _SortedRows:
+    """The kernel rows a solve last read, permuted to the sort order of v,
+    with their p-part (:func:`~riskmdp.oce._oce_weights`): one memo per
+    solve call, keyed by the row selection and the order.
+
+    ``idx`` is None for the whole (state, action) table, else the action
+    index per state of the rows (x, idx[x]).  A value iteration changes the
+    stable argsort of v a few times in all, so most sweeps reuse both.
+    """
+
+    __slots__ = ("key", "p", "weights")
+
+    def __init__(self):
+        self.key = self.p = self.weights = None
+
+    def holds(self, idx, order):
+        """Whether the memo holds the rows ``idx`` in the atom order ``order``."""
+        return self.key == _rows_key(idx, order)
+
+    def get(self, m, spec, idx, order):
+        """(permuted kernel rows, their p-part), rebuilt only on a new key."""
+        key = _rows_key(idx, order)
+        if key != self.key:
+            rows = Ellipsis if idx is None else (np.arange(m.n_states), idx)
+            self.p = m.kernel[rows][..., order]
+            self.weights = _oce_weights(self.p, spec)
+            self.key = key
+        return self.p, self.weights
+
+
+def _rows_key(idx, order):
+    """The memo key of :class:`_SortedRows`: the bytes of the row selection
+    (None for the whole table) and of the order, both integer index arrays."""
+    return None if idx is None else idx.tobytes(), order.tobytes()
+
+
+def _successor_layer(m, spec, v, idx=None, memo=None):
     """(S_u(v(X')), eta*) over every kernel row (x, a), as two (S, A) tables,
     or over the rows (x, idx[x]) only when an action index per state is given.
 
     One call of the sorted OCE layer: a log-sum-exp over the cached log kernel
     for the entropic kind, which needs no atom order; otherwise v is sorted
-    once and the kernel rows, permuted to that order, are the layer's rows.
+    and the kernel rows, permuted to that order, are the layer's rows.  Those
+    rows and their p-part come from ``memo``, the solve's
+    :class:`_SortedRows`, when it holds them.
     """
     v = np.asarray(v, dtype=float)
-    rows = Ellipsis if idx is None else (np.arange(m.n_states), idx)
     if spec.kind == "entropic":
+        rows = Ellipsis if idx is None else (np.arange(m.n_states), idx)
         return _oce_sorted(None, v, spec, log_p=m.log_kernel[rows])
     order = np.argsort(v, kind="stable")
-    return _oce_sorted(m.kernel[rows][..., order], v[order], spec)
+    p, weights = (_SortedRows() if memo is None else memo).get(m, spec, idx, order)
+    return _oce_sorted(p, v[order], spec, weights=weights)
 
 
 def successor_risk(m, spec, v):
@@ -112,17 +164,25 @@ def successor_risk(m, spec, v):
     return np.where(m.admissible_mask, _successor_layer(m, spec, v)[0], 0.0)
 
 
-def _dual_kernel(m, spec, v, idx, eta):
+def _dual_kernel(m, spec, v, idx, eta, memo=None):
     """Q[x, y] = dS_u/dv(y) over the kernel rows (x, idx[x]), at the eta* that
     :func:`_successor_layer` returned for them: the gradient of the layer,
-    from :func:`~riskmdp.oce._oce_gradient`.  Each row sums to 1."""
+    from :func:`~riskmdp.oce._oce_gradient`.  Each row sums to 1.
+
+    After a whole-table layer at the same v, ``memo`` holds every row in v's
+    order, and the rows (x, idx[x]) of it and of its p-part are read there.
+    """
     v = np.asarray(v, dtype=float)
     rows = np.arange(m.n_states)
     if spec.kind == "entropic":
         return _oce_gradient(None, v, spec, eta, log_p=m.log_kernel[rows, idx])
     order = np.argsort(v, kind="stable")
+    if memo is not None and memo.holds(None, order):
+        p, weights = memo.p[rows, idx], tuple(w[rows, idx] for w in memo.weights)
+    else:
+        p, weights = (_SortedRows() if memo is None else memo).get(m, spec, idx, order)
     dual = np.empty((m.n_states, m.n_states))
-    dual[:, order] = _oce_gradient(m.kernel[rows, idx][:, order], v[order], spec, eta)
+    dual[:, order] = _oce_gradient(p, v[order], spec, eta, weights=weights)
     return dual
 
 
@@ -135,10 +195,11 @@ def _greedy(m, q):
     return q[np.arange(m.n_states), idx], idx
 
 
-def recursive_bellman_L(m, spec, v):
+def recursive_bellman_L(m, spec, v, memo=None):
     """One sweep of the nested-risk operator.  Returns (Lv, the argmax action
-    index per state); see :func:`_greedy` for ties."""
-    return _greedy(m, m.reward + m.discount * successor_risk(m, spec, v))
+    index per state); see :func:`_greedy` for ties.  ``memo`` is the solve's
+    :class:`_SortedRows`."""
+    return _greedy_sweep(m, spec, v, memo)[:2]
 
 
 def _sweep_budget(beta, stop, delta_1):
@@ -184,8 +245,9 @@ def solve_recursive(m, spec, tol=1e-9):
     """Fixed point of L with a stationary argmax policy attached, by value
     iteration: the verification path of :func:`policy_iteration_recursive`."""
     m.require_valid()
+    memo = _SortedRows()
     v, idx, it, residual, bound = _iterate(
-        m, lambda v: recursive_bellman_L(m, spec, v), tol)
+        m, lambda v: recursive_bellman_L(m, spec, v, memo), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -200,11 +262,13 @@ def solve_recursive(m, spec, tol=1e-9):
 def _newton(m, spec, sweep, tol):
     """Safeguarded Newton iteration for the fixed point of a sweep T, from 0.
 
-    ``sweep(v)`` returns Tv, the action index per state of the kernel rows
-    it chose and their eta*; the :func:`_dual_kernel` of those rows is the
-    gradient of T / beta at v.  A step tries w = v + (I - beta Q)^-1 (Tv - v)
-    and keeps it if ||Tw - w|| <= beta ||Tv - v||, the most a plain sweep can
-    leave; otherwise it takes Tv and counts as safeguarded.  Tw is the next
+    ``sweep(v, memo)`` returns Tv, the action index per state of the kernel
+    rows it chose and their eta*; the :func:`_dual_kernel` of those rows is
+    the gradient of T / beta at v.  The loop's one :class:`_SortedRows` memo
+    serves the sweeps and the dual kernels.  A step tries
+    w = v + (I - beta Q)^-1 (Tv - v) and keeps it if
+    ||Tw - w|| <= beta ||Tv - v||, the most a plain sweep can leave;
+    otherwise it takes Tv and counts as safeguarded.  Tw is the next
     step's sweep, so only a safeguarded step costs a sweep more.  The
     residual shrinks by beta per step at least, which gives the step budget
     of :func:`_sweep_budget`.
@@ -218,9 +282,10 @@ def _newton(m, spec, sweep, tol):
     """
     _check_tol(tol)
     beta = m.discount
+    memo = _SortedRows()
 
     def visit(v):
-        tv, idx, eta = sweep(v)
+        tv, idx, eta = sweep(v, memo)
         return v, tv, idx, eta, float(np.max(np.abs(tv - v)))
 
     v, tv, idx, eta, res = visit(np.zeros(m.n_states))
@@ -239,7 +304,7 @@ def _newton(m, spec, sweep, tol):
             raise IterationLimitError("policy iteration did not converge", res, steps)
         last = res <= stop
         steps += 1
-        dual = _dual_kernel(m, spec, v, idx, eta)
+        dual = _dual_kernel(m, spec, v, idx, eta, memo)
         trial = visit(v + np.linalg.solve(np.eye(m.n_states) - beta * dual, tv - v))
         if trial[-1] <= beta * res:  # NaN fails
             v, tv, idx, eta, res = trial
@@ -248,13 +313,15 @@ def _newton(m, spec, sweep, tol):
             v, tv, idx, eta, res = visit(tv)
     if beta == 0.0:
         return tv, idx, 0, 0.0, 0.0, 0
-    residual = float(np.max(np.abs(sweep(tv)[0] - tv)))
+    residual = float(np.max(np.abs(sweep(tv, memo)[0] - tv)))
     return tv, idx, steps, residual, beta * res / (1.0 - beta), safeguarded
 
 
-def _greedy_sweep(m, spec, v):
-    """Lv, its argmax actions and their eta*."""
-    risk, eta = _successor_layer(m, spec, v)
+def _greedy_sweep(m, spec, v, memo=None):
+    """Lv, its argmax actions and their eta*: the sweep of value iteration
+    and of policy iteration.  Inadmissible rows read 0 before the greedy
+    step masks them, as in :func:`successor_risk`."""
+    risk, eta = _successor_layer(m, spec, v, None, memo)
     lv, idx = _greedy(m, m.reward + m.discount * np.where(m.admissible_mask, risk, 0.0))
     return lv, idx, eta[np.arange(m.n_states), idx]
 
@@ -270,7 +337,7 @@ def policy_iteration_recursive(m, spec, tol=1e-9):
     """
     m.require_valid()
     v, idx, steps, residual, bound, safeguarded = _newton(
-        m, spec, lambda v: _greedy_sweep(m, spec, v), tol)
+        m, spec, lambda v, memo: _greedy_sweep(m, spec, v, memo), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -295,10 +362,10 @@ def entropic_fast_path(m, gamma, tol=1e-9):
     return rep
 
 
-def _policy_sweep(m, spec, idx, v):
+def _policy_sweep(m, spec, idx, v, memo=None):
     """L_f v for the action index per state ``idx``, with idx and the eta* of
     f's rows: the sweep of :func:`_newton` with f held fixed."""
-    risk, eta = _successor_layer(m, spec, v, idx)
+    risk, eta = _successor_layer(m, spec, v, idx, memo)
     return m.reward[np.arange(m.n_states), idx] + m.discount * risk, idx, eta
 
 
@@ -307,7 +374,7 @@ def policy_evaluation_recursive(m, spec, policy, tol=1e-9):
     Newton loop of :func:`policy_iteration_recursive` with f held fixed."""
     m.require_valid()
     idx = policy.indices(m)
-    v = _newton(m, spec, lambda v: _policy_sweep(m, spec, idx, v), tol)[0]
+    v = _newton(m, spec, lambda v, memo: _policy_sweep(m, spec, idx, v, memo), tol)[0]
     return value_dict(m, v)
 
 
@@ -316,6 +383,7 @@ def n_stage_value(m, spec, stage_policy, n_stages):
     operators applied to the zero function (stage N-1 innermost)."""
     m.require_valid()
     v = np.zeros(m.n_states)
+    memo = _SortedRows()
     for k in reversed(range(n_stages)):
-        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v)[0]
+        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v, memo)[0]
     return value_dict(m, v)

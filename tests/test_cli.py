@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riskmdp import fixtures
 from riskmdp.cli import _policy_from_source, main
@@ -656,3 +656,101 @@ def test_any_input_exits_with_a_documented_code(fixture_paths, argv):
         json.loads(out.getvalue(), parse_constant=_no_constant)
     else:
         assert out.getvalue() == ""
+
+
+def _mutated(obj, edits):
+    """A deep copy of the JSON value ``obj`` with each (path, value) edit
+    applied in turn: the node at path (a tuple of keys and list indices)
+    takes value, or is removed where value is _DROP.  Edits whose parent
+    no longer exists are skipped."""
+    obj = json.loads(json.dumps(obj))
+    for path, value in edits:
+        if not path:
+            obj = {} if value is _DROP else value
+            continue
+        parent = obj
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+    return obj
+
+
+_DROP = object()
+_JAQUETTE = fixtures.jaquette().to_dict()
+
+# each of these died with a traceback (exit 1) or was read as a valid model
+_MALFORMED_MODELS = [
+    ((("transitions", "1"), [1.0]), "/transitions/1"),
+    ((("transitions", "1", "b1"), [0.5, 0.5]), "/transitions/1/b1"),
+    ((("rewards", "1"), 3), "/rewards/1"),
+    ((("costs",), []), "/costs"),
+    ((("transitions", "1", "b1", "2"), None), "/transitions/1/b1/2"),
+    ((("rewards", "3", "a"), None), "/rewards/3/a"),
+    ((("transitions", "1", "b1", "2"), "0.5"), "/transitions/1/b1/2"),
+    ((("transitions", "2", "a", "1"), True), "/transitions/2/a/1"),
+    ((("rewards", "1", "b2"), False), "/rewards/1/b2"),
+    ((("admissible", "1"), "b1"), "/admissible/1"),
+    ((("admissible", "1"), [["b1"]]), "/admissible/1"),
+    ((("admissible", "4"), ["a"]), "/admissible"),
+    ((("transitions", "1", "b1", "2"), 10**400), "/transitions/1/b1"),
+    ((("discount",), 10**400), "/discount"),
+]
+
+
+@pytest.mark.parametrize("edit,pointer", _MALFORMED_MODELS,
+                         ids=[f"{'/'.join(path)}={value!r}"[:40]
+                              for (path, value), _ in _MALFORMED_MODELS])
+def test_malformed_model_file_names_its_pointer(capsys, tmp_path, edit, pointer):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_mutated(_JAQUETTE, [edit])))
+    for argv in (["validate"], ["solve", "--criterion", "risk_neutral"]):
+        code, out, err = run(capsys, [*argv, "--model", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.rstrip().endswith(f"(at {pointer})"), err
+
+
+def _json_paths(obj, path=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _json_paths(value, path + (key,))
+
+
+_NODE_VALUES = st.sampled_from([None, "x", "0.5", "", True, False, [], [1.0], ["b1"], {},
+                                {"1": 1.0}, 0, 1, -1.0, 0.5, 2.5, 1e300, 10**400, math.nan])
+_EDITS = st.lists(st.tuples(st.sampled_from(list(_json_paths(_JAQUETTE))),
+                            _NODE_VALUES | st.just(_DROP)), min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("model_fuzz") / "model.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS)
+@example(edits=[(path, value) for (path, value), _ in _MALFORMED_MODELS[:4]])
+@example(edits=[(("transitions", "1", "b1", "2"), None), (("rewards", "1", "b1"), None)])
+@example(edits=[(("transitions", "1", "b1", "2"), "0.5"), (("admissible", "1"), "b1")])
+@example(edits=[(("transitions", "2", "a", "1"), True)])
+def test_any_model_file_exits_with_a_documented_code(fuzz_path, edits):
+    # a mutated model file never escapes main() as an exception: validate
+    # and two solves end in a documented exit code, and exit 0 prints
+    # strict JSON
+    fuzz_path.write_text(json.dumps(_mutated(_JAQUETTE, edits)))
+    for argv in (["validate"], ["solve", "--criterion", "risk_neutral"],
+                 ["solve", "--criterion", "recursive_oce", "--utility",
+                  '{"type": "cvar", "alpha": 0.2}']):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--model", str(fuzz_path)])
+        assert code in (0, 1, 2, 3, 4)
+        if code == 2:
+            assert "(at " in err.getvalue()
+        if code == 0 and argv[0] == "solve":
+            json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -564,9 +564,9 @@ class TestPolicyEvaluation:
 
         real = rec._successor_layer
 
-        def rows_only(m, spec, v, idx=None):
+        def rows_only(m, spec, v, idx=None, memo=None):
             assert idx is not None, "evaluated the whole (state, action) table"
-            return real(m, spec, v, idx)
+            return real(m, spec, v, idx, memo)
 
         rng = np.random.default_rng(34)
         m = random_mdp(rng, n_states=6, n_actions=3, beta=0.9, full_admissible=False)
@@ -580,3 +580,69 @@ class TestPolicyEvaluation:
             monkeypatch.undo()
             for si, s in enumerate(m.states):
                 assert got[s] == pytest.approx(want[si], abs=1e-11)
+
+
+def _memo_models():
+    """The fixtures and seeded models: dense, 3 successors per row, and
+    both with partial admissible sets."""
+    models = [(name, build()) for name, build in sorted(fixtures.FIXTURES.items())]
+    rng = np.random.default_rng(61)
+    models.append(("dense", random_mdp(rng, n_states=7, n_actions=3, beta=0.9)))
+    models.append(("dense_partial", random_mdp(rng, n_states=6, n_actions=3, beta=0.8,
+                                               full_admissible=False)))
+    models.append(("sparse", random_mdp(rng, n_states=9, n_actions=2, beta=0.9, successors=3)))
+    models.append(("sparse_partial", random_mdp(rng, n_states=8, n_actions=3, beta=0.85,
+                                                successors=3, full_admissible=False)))
+    return models
+
+
+_MEMO_MODELS = _memo_models()
+_MEMO_SPECS = [UtilitySpec.cvar(0.05), UtilitySpec.cvar(0.2), UtilitySpec.cvar(0.7),
+               UtilitySpec.mean_variance(),
+               UtilitySpec.piecewise_linear([(-2.0, -3.0), (-0.5, -0.5), (0.0, 0.0),
+                                             (1.0, 0.6), (3.0, 1.0)])]
+
+
+def _memo_outputs(m, spec):
+    """The bytes of the four sorted-layer solvers' results on m."""
+    rng = np.random.default_rng(62)
+
+    def rule():
+        return StationaryPolicy({s: m.admissible[s][int(rng.integers(len(m.admissible[s])))]
+                                 for s in m.states})
+
+    stages = StagePolicy(stages=tuple(rule() for _ in range(12)), tail=rule())
+    return [solve_recursive(m, spec, tol=1e-10).to_json(),
+            policy_iteration_recursive(m, spec, tol=1e-10).to_json(),
+            repr(policy_evaluation_recursive(m, spec, rule(), tol=1e-10)),
+            repr(n_stage_value(m, spec, stages, 16))]
+
+
+class TestSortedRowsMemo:
+    @pytest.mark.parametrize("spec", _MEMO_SPECS, ids=lambda s: repr(s.alpha or s.kind))
+    @pytest.mark.parametrize("name,m", _MEMO_MODELS, ids=[name for name, _ in _MEMO_MODELS])
+    def test_is_bitwise_neutral(self, monkeypatch, name, m, spec):
+        # a key that equals no other makes the memo rebuild on every call
+        import riskmdp.recursive as rec
+        want = _memo_outputs(m, spec)
+        monkeypatch.setattr(rec, "_rows_key", lambda idx, order: object())
+        assert _memo_outputs(m, spec) == want
+
+    def test_rebuilds_only_when_the_order_changes(self, monkeypatch):
+        # value iteration from 0 starts in the identity order and changes it
+        # a few times; every other sweep reuses the permuted rows
+        import riskmdp.recursive as rec
+        builds, sweeps = [], []
+        real_weights, real_sweep = rec._oce_weights, rec.recursive_bellman_L
+        monkeypatch.setattr(rec, "_oce_weights",
+                            lambda p, spec: builds.append(1) or real_weights(p, spec))
+        monkeypatch.setattr(rec, "recursive_bellman_L",
+                            lambda *a: sweeps.append(1) or real_sweep(*a))
+        sparse = random_mdp(np.random.default_rng(0), n_states=6, n_actions=2, beta=0.9,
+                            successors=3)
+        for m in (fixtures.jaquette(), sparse):
+            for spec in (UtilitySpec.cvar(0.2), UtilitySpec.mean_variance()):
+                builds.clear()
+                sweeps.clear()
+                solve_recursive(m, spec, tol=1e-10)
+                assert 2 <= len(builds) <= len(sweeps) // 4, (len(builds), len(sweeps))
