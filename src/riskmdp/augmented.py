@@ -22,7 +22,14 @@ computed exactly by one backward pass from level N down to level 0
 (:func:`backward_pass`).  A level mixes each (state, action)'s successor rows
 of level n+1 by one kernel product and reads the mixture by one
 interpolation, which linearity of the interpolation allows
-(:func:`augmented_level`).  The remaining error is the reported tail +
+(:func:`augmented_level`).  Only that is per-level work: a pass or a
+sandwich solve reads the admissible rows, their kernel rows and rewards
+from the model once (:class:`LevelRows`), and the pass checks its table
+against the bounds below once, on the finished table.  A grid built for
+another discount, or whose y does not cover +-d/(1-beta), is refused with
+:class:`ParameterError`: read off such a grid, the clamped top of the
+table gives a wrong value that still passes the bound check.  The
+remaining error is the reported tail +
 interpolation budget.  The table does not depend on eta, and on the
 interpolated grid eta -> eta + V(x, -eta, 1) is piecewise linear with its
 kinks at the grid points, so eta* is an exact pick over eta = 0 and the
@@ -165,7 +172,49 @@ def bound_upper(m, spec, grid):
     return out
 
 
-def augmented_level(m, spec, grid, n, next_level):
+def _check_grid(m, grid):
+    """Refuse a grid that does not fit the model with :class:`ParameterError`.
+
+    The grid's beta must be the model's discount, and its y must cover
+    +-d/(1-beta) up to the 1e-9 step that :func:`default_grid`'s ceil allows
+    (and a few ulps of the rounding of its last point): a grid built for
+    another discount or smaller rewards would read the clamped top of the
+    table and still pass the bound check.
+    """
+    beta = m.discount
+    if grid.beta != beta:
+        raise ParameterError(f"grid built for beta = {grid.beta}, the model's discount is {beta}")
+    if not (0.0 <= beta < 1.0):
+        raise ParameterError(f"total-reward criterion needs beta in [0, 1), got {beta}")
+    top = m.reward_bound / (1.0 - beta)
+    slack = 1e-9 * grid.y_step + 4.0 * math.ulp(top)
+    lo, hi = float(grid.y[0]), float(grid.y[-1])
+    if lo > -top + slack or hi < top - slack:
+        raise ParameterError(f"grid y covers [{lo:g}, {hi:g}], not the accumulation "
+                             f"range [{-top:g}, {top:g}] of the model")
+
+
+class LevelRows:
+    """The admissible (state, action) rows of a model, read once per pass.
+
+    ``states`` / ``actions`` are index arrays in declared order and ``pairs``
+    the same indices as Python ints; ``kernel`` and ``reward`` are copies of
+    the rows' kernel rows and rewards, so a later change to the model does
+    not reach a pass already set up (nor does anything stay cached on it).
+    A plain class: a dataclass would cost every CLI process about 1 ms to
+    build at import.
+    """
+
+    __slots__ = ("states", "actions", "pairs", "kernel", "reward")
+
+    def __init__(self, m):
+        self.states, self.actions = np.nonzero(m.admissible_mask)
+        self.pairs = list(zip(self.states.tolist(), self.actions.tolist()))
+        self.kernel = m.kernel[self.states, self.actions]
+        self.reward = m.reward[self.states, self.actions]
+
+
+def augmented_level(m, spec, grid, n, next_level, rows=None):
     """Level n of the extended-space Bellman operator: values and argmax.
 
     Level n reads only ``next_level``, the (state, y) table F of level n+1
@@ -181,49 +230,63 @@ def augmented_level(m, spec, grid, n, next_level):
         sum_x' q(x'|x,a) interp(y + z r, F[x']) = interp(y + z r, sum_x' q(x'|x,a) F[x']),
 
     one kernel product for every admissible row and one interpolation per
-    row.  A -inf entry of F (u overflows at the bottom of the grid) stays
-    -inf in a row's mixture only where a successor of positive probability
-    holds it; a successor of probability 0 adds nothing, as 0 * (-inf) = NaN
-    would.  Ties go to the first maximizing action in declared order.
+    row.  ``rows`` is the pass's :class:`LevelRows` (built here when not
+    given), so a pass gathers the admissible rows, their kernel rows and
+    rewards once, not once per level.  A -inf entry of F (u overflows at the
+    bottom of the grid) stays -inf in a row's mixture only where a successor
+    of positive probability holds it; a successor of probability 0 adds
+    nothing, as 0 * (-inf) = NaN would.  One reduction, the minimum of F,
+    decides whether that mask is needed.  Ties go to the first maximizing
+    action in declared order.
     """
-    rows = np.nonzero(m.admissible_mask)  # (state, action) pairs, declared order
-    shifts = grid.z(n) * m.reward[rows]
+    if rows is None:
+        rows = LevelRows(m)
+    y = grid.y
+    # the read points y + z r(x, a), one row per admissible (x, a)
+    shifted = y + grid.z(n) * rows.reward[:, None]
     # q[a, x, j]: the value of action a at (x, y_j); -inf where a is inadmissible
-    q = np.full((m.n_actions, m.n_states, grid.y.size), -np.inf)
+    q = np.full((m.n_actions, m.n_states, y.size), -np.inf)
     if next_level is None:
-        q[rows[1], rows[0]] = spec.u(grid.y + shifts[:, None])
+        q[rows.actions, rows.states] = spec.u(shifted)
     else:
-        kernel = m.kernel[rows]
-        neg = np.isneginf(next_level)
-        if neg.any():
+        kernel = rows.kernel
+        # a minimum above -inf rules out a -inf entry; a NaN one does not
+        neg = None if next_level.min() > -np.inf else np.isneginf(next_level)
+        if neg is not None and neg.any():
             mixed = kernel @ np.where(neg, 0.0, next_level)
             mixed[(kernel > 0.0) @ neg] = -np.inf
         else:
             mixed = kernel @ next_level
-        for si, ai, shift, row in zip(*rows, shifts, mixed):
-            q[ai, si] = np.interp(grid.y + shift, grid.y, row)
-    # the first maximum in declared action order, as in recursive._greedy
+        for (si, ai), x, row in zip(rows.pairs, shifted, mixed):
+            q[ai, si] = np.interp(x, y, row)
+    # the first maximum in declared action order, as in recursive._greedy;
+    # putmask is the same masked store as copyto(where=) or a boolean-index
+    # assignment, at a third of their call cost on a level this small
     values = q[0].copy()
     argmax = np.zeros(values.shape, dtype=np.int16)
     for ai in range(1, m.n_actions):
         better = q[ai] > values
-        np.copyto(values, q[ai], where=better)
-        argmax[better] = ai
+        np.putmask(values, better, q[ai])
+        np.putmask(argmax, better, ai)
     return values, argmax
 
 
-def augmented_T(m, spec, grid, V, want_argmax=False):
+def augmented_T(m, spec, grid, V, want_argmax=False, rows=None):
     """One synchronous sweep of the extended-space Bellman operator.
 
     Every level is updated from the input table ``V`` by
     :func:`augmented_level`; the deepest level reads the terminal u(y').
+    ``rows`` (a :class:`LevelRows`, built here when not given) serves every
+    level of the sweep.
     """
+    if rows is None:
+        rows = LevelRows(m)
     n_levels = V.shape[0]
     out = np.empty_like(V)
     argmax = np.zeros(V.shape, dtype=np.int16) if want_argmax else None
     for n in range(n_levels):
         nxt = V[n + 1] if n < n_levels - 1 else None
-        out[n], level_argmax = augmented_level(m, spec, grid, n, nxt)
+        out[n], level_argmax = augmented_level(m, spec, grid, n, nxt, rows)
         if want_argmax:
             argmax[n] = level_argmax
     return out, argmax
@@ -232,25 +295,32 @@ def augmented_T(m, spec, grid, V, want_argmax=False):
 def backward_pass(m, spec, grid):
     """Exact extended-space table by one pass from level n_trunc down to 0.
 
-    Returns ``(table, argmax, within_bounds)``.  Each level is computed once
-    from the finished level below it, with the same :func:`augmented_level`
-    the sandwich sweeps use, so the result equals the converged sandwich
-    bitwise.  ``within_bounds`` checks lower <= table <= upper (the bounds of
-    :func:`bound_lower` / :func:`bound_upper`) up to 1e-9 at every cell,
-    which is what the sandwich's monotone envelopes imply.
+    Returns ``(table, argmax, within_bounds)``.  The admissible rows, their
+    kernel rows and rewards are read from the model once, at the start of
+    the pass (:class:`LevelRows`).  Each level is computed once from the
+    finished level below it, with the same :func:`augmented_level` the
+    sandwich sweeps use, so the result equals the converged sandwich
+    bitwise.  ``within_bounds`` checks lower <= table <= upper (the bounds
+    of :func:`bound_lower` / :func:`bound_upper`) up to 1e-9 at every cell,
+    which is what the sandwich's monotone envelopes imply; it is made once
+    on the finished table, from its per-level minima and maxima over the
+    states.  A grid that does not fit the model (:func:`_check_grid`) is
+    refused with :class:`ParameterError`.
     """
     m.require_valid()
+    _check_grid(m, grid)
+    rows = LevelRows(m)
     table = np.empty((grid.n_levels, m.n_states, grid.y.size))
     argmax = np.empty(table.shape, dtype=np.int16)
-    lower = spec.u(grid.y) - 1e-9
-    top = m.reward_bound / (1.0 - grid.beta)
-    within_bounds = True
     for n in range(grid.n_trunc, -1, -1):
         nxt = table[n + 1] if n < grid.n_trunc else None
-        table[n], argmax[n] = augmented_level(m, spec, grid, n, nxt)
-        upper = spec.u(grid.z(n) * top + grid.y) + 1e-9
-        if np.any(table[n].min(axis=0) < lower) or np.any(table[n].max(axis=0) > upper):
-            within_bounds = False
+        table[n], argmax[n] = augmented_level(m, spec, grid, n, nxt, rows)
+    top = m.reward_bound / (1.0 - grid.beta)
+    lower = spec.u(grid.y) - 1e-9
+    z = np.array([grid.z(n) for n in range(grid.n_levels)])
+    upper = spec.u(z[:, None] * top + grid.y) + 1e-9
+    within_bounds = not (np.any(table.min(axis=1) < lower)
+                         or np.any(table.max(axis=1) > upper))
     return table, argmax, within_bounds
 
 
@@ -273,9 +343,13 @@ def solve_sandwich(m, spec, grid, max_sweeps=None, width_tol=0.0, monotone_tol=1
 
     The lower sequence must be nondecreasing and the upper nonincreasing at
     every grid point each sweep (checked up to ``monotone_tol``); both are
-    exactly equal after n_trunc + 1 sweeps.
+    exactly equal after n_trunc + 1 sweeps.  Every sweep reads the rows set
+    up once at the start (:class:`LevelRows`), and a grid that does not fit
+    the model is refused with :class:`ParameterError`.
     """
     m.require_valid()
+    _check_grid(m, grid)
+    rows = LevelRows(m)
     lo = bound_lower(m, spec, grid)
     hi = bound_upper(m, spec, grid)
     cap = grid.n_levels if max_sweeps is None else min(max_sweeps, grid.n_levels)
@@ -284,8 +358,8 @@ def solve_sandwich(m, spec, grid, max_sweeps=None, width_tol=0.0, monotone_tol=1
     sweeps = 0
     argmax = None
     for sweeps in range(1, cap + 1):
-        lo2, argmax = augmented_T(m, spec, grid, lo, want_argmax=True)
-        hi2, _ = augmented_T(m, spec, grid, hi)
+        lo2, argmax = augmented_T(m, spec, grid, lo, want_argmax=True, rows=rows)
+        hi2, _ = augmented_T(m, spec, grid, hi, rows=rows)
         if np.min(lo2 - lo) < -monotone_tol or np.max(hi2 - hi) > monotone_tol:
             monotone_ok = False
         lo, hi = lo2, hi2
@@ -481,12 +555,18 @@ def reconstruct_policy_action(sol, past, current_state):
     decision at ``current_state`` reads the stored argmax at the accumulated
     coordinates (sum of discounted rewards minus eta*, discount level beta^n),
     with y rounded to the nearest grid point.  Beyond the truncation level the
-    stationary tail rule applies and the result is flagged truncated.
+    stationary tail rule applies and the result is flagged truncated.  An
+    unknown state, in ``past`` or as ``current_state``, or an inadmissible
+    action in ``past`` is refused with :class:`ParameterError`.
     """
     m, grid = sol.model, sol.grid
     n = len(past)
     y = -sol.eta_star
+    if current_state not in m.state_index:
+        raise ParameterError(f"unknown current state {current_state!r}")
     for k, (s, a) in enumerate(past):
+        if s not in m.state_index:
+            raise ParameterError(f"history step {k}: unknown state {s!r}")
         if a not in m.admissible[s]:
             raise ParameterError(f"history step {k}: action {a!r} inadmissible at {s!r}")
         y += (m.discount ** k) * m.reward[m.state_index[s], m.action_index[a]]

@@ -200,13 +200,15 @@ def bfs_reachability(adj):
     return reach
 
 
-def augmented_level_loop(m, spec, grid, n, next_level):
+def augmented_level_loop(m, spec, grid, n, next_level, rows=None):
     """One z-level of the extended-space operator, one interpolation per
     (state, action, successor): (values, argmax) over the (state, y) grid.
 
     Every successor's row of ``next_level`` (``None``: the terminal u(y')) is
     read at y + z r(x, a) and weighted by its probability; the first maximum
     in declared action order wins.  Successors of probability 0 are skipped.
+    ``rows``, the rows a pass has set up, is ignored: the loop reads the
+    model itself.
     """
     ny = grid.y.size
     z = grid.beta ** n

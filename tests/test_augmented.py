@@ -16,6 +16,7 @@ from riskmdp.augmented import (
     solve_sandwich,
     solve_total_oce,
 )
+from riskmdp.errors import ParameterError
 from riskmdp.mdp import FiniteMdp
 from riskmdp.neutral import value_iteration
 from riskmdp.oce import UtilitySpec
@@ -178,6 +179,105 @@ class TestBackwardPass:
         assert sol.report().iterations == 2
         assert np.array_equal(sol.table, sand.table)
         assert np.array_equal(sol.argmax, sand.argmax)
+
+
+def _with(m, discount=None, reward_scale=1.0):
+    """A fresh copy of ``m`` with another discount and/or scaled rewards."""
+    d = m.to_dict()
+    if discount is not None:
+        d["discount"] = discount
+    d["rewards"] = {s: {a: reward_scale * r for a, r in row.items()}
+                    for s, row in d["rewards"].items()}
+    return FiniteMdp.from_dict(d)
+
+
+def _push_cell(level, delta, bound):
+    """``augmented_level`` with cell (0, 0) of level ``level`` ("deepest":
+    n_trunc) set to ``bound(spec, grid, n)[0] + delta``."""
+    original = augmented.augmented_level
+
+    def pushed(m, spec, grid, n, next_level, rows=None):
+        values, argmax = original(m, spec, grid, n, next_level, rows)
+        if n == (grid.n_trunc if level == "deepest" else level):
+            values[0, 0] = bound(spec, grid, n)[0] + delta
+        return values, argmax
+
+    return pushed
+
+
+def _upper(spec, grid, n, top=16.0):  # jaquette: d / (1 - beta) = 8 / 0.5
+    return spec.u(grid.z(n) * top + grid.y)
+
+
+def _lower(spec, grid, n):
+    return spec.u(grid.y)
+
+
+class TestBoundCheck:
+    # the pass checks lower <= table <= upper once, on the finished table
+    def test_fixtures_within_bounds(self):
+        spec = UtilitySpec.cvar(0.2)
+        for name, build in fixtures.FIXTURES.items():
+            m = build()
+            _, _, within_bounds = backward_pass(m, spec, default_grid(m))
+            assert within_bounds, name
+            assert solve_total_oce(m, spec).monotone_ok, name
+
+    @pytest.mark.parametrize("level, delta, bound", [
+        ("deepest", 1e-6, _upper),
+        (0, -1e-6, _lower),
+        (0, 1e-6, _upper),
+        ("deepest", -1e-6, _lower),
+    ], ids=["deepest_above_upper", "level0_below_lower", "level0_above_upper",
+            "deepest_below_lower"])
+    def test_one_cell_out_of_bounds(self, monkeypatch, jaquette, level, delta, bound):
+        spec = UtilitySpec.cvar(0.2)
+        grid = default_grid(jaquette)
+        assert jaquette.reward_bound / (1 - jaquette.discount) == 16.0
+        monkeypatch.setattr(augmented, "augmented_level", _push_cell(level, delta, bound))
+        _, _, within_bounds = backward_pass(jaquette, spec, grid)
+        assert not within_bounds
+        assert not solve_total_oce(jaquette, spec, grid=grid).monotone_ok
+
+    def test_rewards_read_per_pass(self, jaquette):
+        # nothing of a pass stays behind on the model: a solve after the
+        # rewards change equals one of a freshly loaded model
+        spec = UtilitySpec.cvar(0.2)
+        solve_total_oce(jaquette, spec)
+        jaquette.reward *= 0.5
+        sol = solve_total_oce(jaquette, spec)
+        fresh = solve_total_oce(_with(jaquette), spec)
+        assert np.array_equal(sol.table, fresh.table)
+        assert np.array_equal(sol.argmax, fresh.argmax)
+        assert sol.report().to_json() == fresh.report().to_json()
+
+
+class TestGridRefusal:
+    # a grid of another model reads the clamped top of the table and still
+    # passes the bound check, so it is refused up front
+    SPEC = UtilitySpec.cvar(0.2)
+
+    def _refused(self, m, grid, match):
+        for solve in (backward_pass, solve_sandwich):
+            with pytest.raises(ParameterError, match=match):
+                solve(m, self.SPEC, grid)
+        with pytest.raises(ParameterError, match=match):
+            solve_total_oce(m, self.SPEC, grid=grid)
+
+    def test_other_discount_refused(self, jaquette):
+        self._refused(jaquette, default_grid(_with(jaquette, discount=0.9)), "beta = 0.9")
+
+    def test_too_narrow_y_refused(self, jaquette):
+        self._refused(_with(jaquette, reward_scale=10.0), default_grid(jaquette),
+                      "not the accumulation range")
+
+    def test_wider_y_accepted(self, jaquette):
+        # a grid over a wider range, or with a step that does not divide
+        # d/(1-beta), covers the model
+        for grid in (default_grid(_with(jaquette, reward_scale=2.0)),
+                     default_grid(jaquette, y_step=0.037)):
+            _, _, within_bounds = backward_pass(jaquette, self.SPEC, grid)
+            assert within_bounds
 
 
 def _level_models():
@@ -429,9 +529,22 @@ class TestReconstruction:
 
     def test_inadmissible_history_rejected(self, jaquette):
         sol = solve_total_oce(jaquette, UtilitySpec.entropic(1.0))
-        from riskmdp.errors import ParameterError
         with pytest.raises(ParameterError):
             reconstruct_policy_action(sol, [("2", "b1")], "1")
+
+    def test_unknown_current_state_rejected(self, jaquette):
+        sol = solve_total_oce(jaquette, UtilitySpec.entropic(1.0))
+        with pytest.raises(ParameterError, match="unknown current state 'nope'"):
+            reconstruct_policy_action(sol, [], "nope")
+        # also past the truncation level, where the tail rule would be read
+        past = [("1", "b1"), ("2", "a")] * sol.grid.n_trunc
+        with pytest.raises(ParameterError, match="unknown current state"):
+            reconstruct_policy_action(sol, past, "nope")
+
+    def test_unknown_history_state_rejected(self, jaquette):
+        sol = solve_total_oce(jaquette, UtilitySpec.entropic(1.0))
+        with pytest.raises(ParameterError, match="history step 1: unknown state 'nope'"):
+            reconstruct_policy_action(sol, [("1", "b2"), ("nope", "a")], "1")
 
 
 class TestReportLayout:

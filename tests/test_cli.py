@@ -740,12 +740,14 @@ def fuzz_path(tmp_path_factory):
 @example(edits=[(("transitions", "2", "a", "1"), True)])
 def test_any_model_file_exits_with_a_documented_code(fuzz_path, edits):
     # a mutated model file never escapes main() as an exception: validate
-    # and two solves end in a documented exit code, and exit 0 prints
-    # strict JSON
+    # and four solves (the total-OCE ones on the grid and the y-free path)
+    # end in a documented exit code, and exit 0 prints strict JSON
     fuzz_path.write_text(json.dumps(_mutated(_JAQUETTE, edits)))
+    cvar = '{"type": "cvar", "alpha": 0.2}'
     for argv in (["validate"], ["solve", "--criterion", "risk_neutral"],
-                 ["solve", "--criterion", "recursive_oce", "--utility",
-                  '{"type": "cvar", "alpha": 0.2}']):
+                 ["solve", "--criterion", "recursive_oce", "--utility", cvar],
+                 ["solve", "--criterion", "total_oce", "--utility", cvar],
+                 ["solve", "--criterion", "total_oce", "--gamma", "1"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--model", str(fuzz_path)])
