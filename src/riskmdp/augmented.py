@@ -65,7 +65,7 @@ import numpy as np
 from .errors import ParameterError
 from .mdp import StagePolicy, StationaryPolicy, first_admissible_policy, value_dict
 from .oce import UtilitySpec
-from .recursive import _check_gamma_range, _greedy, successor_risk
+from .recursive import SweepRows, _check_gamma_range, _greedy, successor_risk
 from .report import SolveReport
 
 # the most float64 points a y grid can hold: its bytes must fit in intp
@@ -338,14 +338,25 @@ class SandwichSolution:
     hint: str | None = None
 
 
+def _monotone(old, new, tol):
+    """Whether ``new`` >= ``old`` cell by cell, up to a slack of
+    tol * max(1, |cell|), |cell| the smaller of |old| and |new|: an absolute
+    slack alone fails on rounding where u reaches -1e31 at the bottom of the
+    grid.  Equal cells pass, -inf = -inf included; NaN fails."""
+    scale = np.maximum(np.minimum(np.abs(old), np.abs(new)), 1.0)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, already passed as equal
+        return bool(np.all((new == old) | (new - old >= -tol * scale)))
+
+
 def solve_sandwich(m, spec, grid, max_sweeps=None, width_tol=0.0, monotone_tol=1e-9):
     """Iterate the operator from both bounds until the envelopes meet.
 
     The lower sequence must be nondecreasing and the upper nonincreasing at
-    every grid point each sweep (checked up to ``monotone_tol``); both are
-    exactly equal after n_trunc + 1 sweeps.  Every sweep reads the rows set
-    up once at the start (:class:`LevelRows`), and a grid that does not fit
-    the model is refused with :class:`ParameterError`.
+    every grid point each sweep (checked by :func:`_monotone` up to
+    ``monotone_tol`` relative to the cell); both are exactly equal after
+    n_trunc + 1 sweeps.  Every sweep reads the rows set up once at the start
+    (:class:`LevelRows`), and a grid that does not fit the model is refused
+    with :class:`ParameterError`.
     """
     m.require_valid()
     _check_grid(m, grid)
@@ -360,7 +371,7 @@ def solve_sandwich(m, spec, grid, max_sweeps=None, width_tol=0.0, monotone_tol=1
     for sweeps in range(1, cap + 1):
         lo2, argmax = augmented_T(m, spec, grid, lo, want_argmax=True, rows=rows)
         hi2, _ = augmented_T(m, spec, grid, hi, rows=rows)
-        if np.min(lo2 - lo) < -monotone_tol or np.max(hi2 - hi) > monotone_tol:
+        if not (_monotone(lo, lo2, monotone_tol) and _monotone(hi2, hi, monotone_tol)):
             monotone_ok = False
         lo, hi = lo2, hi2
         width = float(np.max(hi[0] - lo[0]))
@@ -630,11 +641,12 @@ def entropic_total(m, gamma, tail_eps=1e-8):
     n_trunc = _truncation_depth(beta, d, tail_eps)
     values = np.zeros((n_trunc + 1, m.n_states))
     level_argmax = np.zeros((n_trunc + 1, m.n_states), dtype=np.int16)
+    rows = SweepRows(m)
     for n in range(n_trunc, -1, -1):
-        q = beta ** n * m.reward
+        q = beta ** n * rows.reward
         if n < n_trunc:  # the deepest level's continuation is exactly zero
-            q = q + successor_risk(m, spec, values[n + 1])
-        values[n], level_argmax[n] = _greedy(m, q)
+            q = q + successor_risk(m, spec, values[n + 1], rows)
+        values[n], level_argmax[n] = _greedy(m, q, rows)
 
     rules = tuple(StationaryPolicy.from_indices(m, level_argmax[n]) for n in range(n_trunc))
     tail = rules[-1] if rules else first_admissible_policy(m)

@@ -192,40 +192,61 @@ class FiniteMdp:
     # -- validation ---------------------------------------------------------
 
     def validate(self, for_discounted=True):
-        """Return the list of invariant violations (empty iff the model is sound)."""
+        """Return the list of invariant violations (empty iff the model is sound).
+
+        Every test runs on the whole tables first; only the states with a
+        violation are walked to write its messages, in declared order.
+        """
         out = []
-        for s in self.states:
-            if not self.admissible[s]:
+        counts = self.admissible_mask.sum(axis=1).tolist()
+        for s, n in zip(self.states, counts):
+            acts = self.admissible[s]
+            if not acts:
                 out.append(f"admissible[{s}]: empty action set")
-            seen = set()
-            for a in self.admissible[s]:
-                if a in seen:
-                    out.append(f"admissible[{s}]: duplicate action {a}")
-                seen.add(a)
+            elif len(acts) != n:  # an action listed twice sets one mask entry
+                seen = set()
+                for a in acts:
+                    if a in seen:
+                        out.append(f"admissible[{s}]: duplicate action {a}")
+                    seen.add(a)
+        # a row is sound iff its sum is within _ROW_TOL of 1 and its minimum
+        # is >= 0: a NaN or infinite entry makes the sum NaN or infinite
         totals = self.kernel.sum(axis=2)
-        # NaN compares False everywhere, so the sum test alone lets it pass
-        finite = np.isfinite(self.kernel).all(axis=2)
-        negative = (self.kernel < 0.0).any(axis=2)
-        for si, s in enumerate(self.states):
+        sound = np.abs(totals - 1.0) <= _ROW_TOL
+        sound &= self.kernel.min(axis=2) >= 0.0
+        for table in (self.reward, self.cost):
+            if table is not None:
+                sound &= (table >= 0.0) & (table < np.inf)
+        # admissible > sound: admissible and not sound
+        for si in np.flatnonzero((self.admissible_mask > sound).any(axis=1)).tolist():
+            s = self.states[si]
             for a in self.admissible[s]:
                 ai = self.action_index[a]
-                total = float(totals[si, ai])  # a plain float in the messages
-                if not finite[si, ai]:
-                    out.append(f"transitions[{s}][{a}]: probabilities must be finite")
-                elif abs(total - 1.0) > _ROW_TOL:
-                    out.append(f"transitions[{s}][{a}]: row sums to {total!r}, expected 1")
-                if negative[si, ai]:
-                    out.append(f"transitions[{s}][{a}]: negative probability")
-                r = float(self.reward[si, ai])
-                if not math.isfinite(r) or r < 0.0:
-                    out.append(f"rewards[{s}][{a}]: must be finite and >= 0, got {r!r}")
-                if self.cost is not None:
-                    c = float(self.cost[si, ai])
-                    if not math.isfinite(c) or c < 0.0:
-                        out.append(f"costs[{s}][{a}]: must be finite and >= 0, got {c!r}")
+                if not sound[si, ai]:
+                    out.extend(self._pair_violations(si, ai, float(totals[si, ai])))
         out.extend(self._inadmissible_entries)
         if for_discounted and not (0.0 <= self.discount < 1.0):
             out.append(f"discount: must lie in [0, 1), got {self.discount!r}")
+        return out
+
+    def _pair_violations(self, si, ai, total):
+        """The messages of one (state, action) pair that failed a test of
+        :meth:`validate`, whose row sums to ``total``."""
+        s, a = self.states[si], self.actions[ai]
+        row = self.kernel[si, ai]
+        out = []
+        # NaN compares False everywhere, so the sum test alone lets it pass
+        if not np.isfinite(row).all():
+            out.append(f"transitions[{s}][{a}]: probabilities must be finite")
+        elif abs(total - 1.0) > _ROW_TOL:
+            out.append(f"transitions[{s}][{a}]: row sums to {total!r}, expected 1")
+        if (row < 0.0).any():
+            out.append(f"transitions[{s}][{a}]: negative probability")
+        for name, table in (("rewards", self.reward), ("costs", self.cost)):
+            if table is not None:
+                x = float(table[si, ai])
+                if not math.isfinite(x) or x < 0.0:
+                    out.append(f"{name}[{s}][{a}]: must be finite and >= 0, got {x!r}")
         return out
 
     def require_valid(self, for_discounted=True):

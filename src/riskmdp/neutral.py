@@ -21,6 +21,8 @@ contraction modulus gives a tighter budget.
 
 Ties are always broken by the first admissible action in declared order
 (:func:`~riskmdp.recursive._greedy`, the greedy step of every solver).
+Value iteration and policy iteration set their sweeps up once per solve
+(:class:`~riskmdp.recursive.SweepRows`) and hand it to every sweep.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .mdp import (
     induced_chain,
     value_dict,
 )
-from .recursive import _check_tol, _greedy, _iterate
+from .recursive import SweepRows, _check_tol, _greedy, _iterate
 from .report import SolveReport
 
 MAX_ITERS = 10**6   # backstop of both relative value iterations
@@ -54,9 +56,12 @@ _TIE_TOL = 1e-12    # margin a policy-iteration competitor must win by
 _MAX_ROUNDS = 10**4
 
 
-def bellman_T(m, v):
-    """One Bellman sweep.  Returns (Tv, the greedy action index per state)."""
-    return _greedy(m, m.reward + m.discount * (m.kernel @ np.asarray(v, dtype=float)))
+def bellman_T(m, v, rows=None):
+    """One Bellman sweep.  Returns (Tv, the greedy action index per state).
+    ``rows`` is the solve's :class:`~riskmdp.recursive.SweepRows` (built
+    here when not given)."""
+    rows = SweepRows(m) if rows is None else rows
+    return _greedy(m, rows.reward + rows.beta * (rows.kernel @ np.asarray(v, dtype=float)), rows)
 
 
 def value_iteration(m, tol=1e-9):
@@ -69,7 +74,8 @@ def value_iteration(m, tol=1e-9):
     """
     m.require_valid()
     _check_tol(tol)  # checked here so the message names tol, not tol / 2
-    v, idx, it, residual, bound = _iterate(m, lambda v: bellman_T(m, v), tol / 2.0)
+    rows = SweepRows(m)
+    v, idx, it, residual, bound = _iterate(m, lambda v: bellman_T(m, v, rows), tol / 2.0)
     return SolveReport(
         criterion="risk_neutral",
         value=value_dict(m, v),
@@ -100,15 +106,16 @@ def policy_iteration(m):
     cycle between equally optimal policies.
     """
     m.require_valid()
-    rows = np.arange(m.n_states)
+    rows = SweepRows(m)
+    states = rows.states
     idx = first_admissible_policy(m).indices(m)
     for it in range(1, _MAX_ROUNDS + 1):
-        v = _chain_value(m.kernel[rows, idx], m.reward[rows, idx], m.discount)
-        q = m.reward + m.discount * (m.kernel @ v)
-        top, best = _greedy(m, q)
-        improved = np.where(top <= q[rows, idx] + _TIE_TOL, idx, best)
+        v = _chain_value(rows.kernel[states, idx], rows.reward[states, idx], rows.beta)
+        q = rows.reward + rows.beta * (rows.kernel @ v)
+        top, best = _greedy(m, q, rows)
+        improved = np.where(top <= q[states, idx] + _TIE_TOL, idx, best)
         if np.array_equal(improved, idx):
-            residual = float(np.max(np.abs(bellman_T(m, v)[0] - v)))
+            residual = float(abs(bellman_T(m, v, rows)[0] - v).max())
             return SolveReport(
                 criterion="risk_neutral",
                 value=value_dict(m, v),

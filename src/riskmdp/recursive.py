@@ -28,7 +28,11 @@ runs on a single law:
 
 Every solver takes its greedy step, the masked max and first argmax of an
 (S, A) action-value table, from :func:`_greedy`, and its stopping tolerance
-through :func:`_check_tol`: one <= 0 or not finite is refused.
+through :func:`_check_tol`: one <= 0 or not finite is refused.  A discounted
+solve sets its sweeps up once, in one :class:`SweepRows` that every sweep
+and greedy step of the solve reads; the sweeps still go through their module
+names (:func:`recursive_bellman_L`, :func:`~riskmdp.neutral.bellman_T`), so
+a wrapper put there sees each one.
 
 The solver, :func:`policy_iteration_recursive`, is Newton's method on the
 same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
@@ -154,14 +158,22 @@ def _successor_layer(m, spec, v, idx=None, memo=None):
     return _oce_sorted(p, v[order], spec, weights=weights)
 
 
-def successor_risk(m, spec, v):
+def successor_risk(m, spec, v, rows=None):
     """S_u(v(X')), X' ~ q(.|x,a), for every (x, a) at once: an (S, A) table.
 
     Equals ``oce(push_forward(m, x, a, v), spec).value`` at every admissible
     (x, a) up to rounding; inadmissible rows read 0.  Kernel rows are used as
-    given, which validation holds to a mass of 1 within 1e-12.
+    given, which validation holds to a mass of 1 within 1e-12.  ``rows`` is
+    the solve's :class:`SweepRows` (built here when not given).
     """
-    return np.where(m.admissible_mask, _successor_layer(m, spec, v)[0], 0.0)
+    return _zero_inadmissible(_successor_layer(m, spec, v)[0],
+                              SweepRows(m) if rows is None else rows)
+
+
+def _zero_inadmissible(risk, rows):
+    """``risk`` with its inadmissible rows set to 0, so that reward + beta
+    risk stays finite there before the greedy step masks them."""
+    return risk if rows.inadmissible is None else np.where(rows.inadmissible, 0.0, risk)
 
 
 def _dual_kernel(m, spec, v, idx, eta, memo=None):
@@ -186,20 +198,47 @@ def _dual_kernel(m, spec, v, idx, eta, memo=None):
     return dual
 
 
-def _greedy(m, q):
+class SweepRows:
+    """What every Bellman sweep of one discounted solve reads, set up once
+    per solve: the state index, the inadmissible mask (None when every
+    action is admissible, and then no sweep masks at all), the reward table,
+    beta and the kernel.
+
+    Nothing is kept on the model: a solve after a change of ``m.reward``, or
+    on a copy whose ``admissible_mask`` is narrowed, sets up its own.  The
+    kernel stays (S, A, S): the flattened (S*A, S) product rounds
+    differently on some models.  A plain class, like
+    :class:`~riskmdp.augmented.LevelRows`.
+    """
+
+    __slots__ = ("states", "inadmissible", "reward", "beta", "kernel")
+
+    def __init__(self, m):
+        self.states = np.arange(m.n_states)
+        inadmissible = ~m.admissible_mask
+        self.inadmissible = inadmissible if inadmissible.any() else None
+        self.reward = m.reward
+        self.beta = m.discount
+        self.kernel = m.kernel
+
+
+def _greedy(m, q, rows=None):
     """max_a q(x, a) per state and the first maximizing action index in
     declared order, over an (S, A) action-value table; inadmissible actions
-    are masked out.  The one greedy step of every solver."""
-    q = np.where(m.admissible_mask, q, -np.inf)
-    idx = np.argmax(q, axis=1)
-    return q[np.arange(m.n_states), idx], idx
+    are masked out.  The one greedy step of every solver; ``rows`` is the
+    solve's :class:`SweepRows` (built here when not given)."""
+    rows = SweepRows(m) if rows is None else rows
+    if rows.inadmissible is not None:
+        q = np.where(rows.inadmissible, -np.inf, q)
+    idx = q.argmax(axis=1)
+    return q[rows.states, idx], idx
 
 
-def recursive_bellman_L(m, spec, v, memo=None):
+def recursive_bellman_L(m, spec, v, memo=None, rows=None):
     """One sweep of the nested-risk operator.  Returns (Lv, the argmax action
     index per state); see :func:`_greedy` for ties.  ``memo`` is the solve's
-    :class:`_SortedRows`."""
-    return _greedy_sweep(m, spec, v, memo)[:2]
+    :class:`_SortedRows` and ``rows`` its :class:`SweepRows`."""
+    return _greedy_sweep(m, spec, v, memo, rows)[:2]
 
 
 def _sweep_budget(beta, stop, delta_1):
@@ -228,11 +267,11 @@ def _iterate(m, sweep, tol):
     stop = tol if beta == 0.0 else tol * (1.0 - beta) / beta
     for it in itertools.count(1):
         w, idx = sweep(v)
-        delta = float(np.max(np.abs(w - v)))
+        delta = float(abs(w - v).max())
         v = w
         if delta <= stop or beta == 0.0:
             bound = 0.0 if beta == 0.0 else beta * delta / (1.0 - beta)
-            residual = float(np.max(np.abs(sweep(v)[0] - v)))
+            residual = float(abs(sweep(v)[0] - v).max())
             return v, idx, it, residual, bound
         if it == 1:
             budget = _sweep_budget(beta, stop, delta)
@@ -245,9 +284,9 @@ def solve_recursive(m, spec, tol=1e-9):
     """Fixed point of L with a stationary argmax policy attached, by value
     iteration: the verification path of :func:`policy_iteration_recursive`."""
     m.require_valid()
-    memo = _SortedRows()
+    memo, rows = _SortedRows(), SweepRows(m)
     v, idx, it, residual, bound = _iterate(
-        m, lambda v: recursive_bellman_L(m, spec, v, memo), tol)
+        m, lambda v: recursive_bellman_L(m, spec, v, memo, rows), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -262,10 +301,11 @@ def solve_recursive(m, spec, tol=1e-9):
 def _newton(m, spec, sweep, tol):
     """Safeguarded Newton iteration for the fixed point of a sweep T, from 0.
 
-    ``sweep(v, memo)`` returns Tv, the action index per state of the kernel
-    rows it chose and their eta*; the :func:`_dual_kernel` of those rows is
-    the gradient of T / beta at v.  The loop's one :class:`_SortedRows` memo
-    serves the sweeps and the dual kernels.  A step tries
+    ``sweep(v, memo, rows)`` returns Tv, the action index per state of the
+    kernel rows it chose and their eta*; the :func:`_dual_kernel` of those
+    rows is the gradient of T / beta at v.  The loop's one
+    :class:`_SortedRows` memo serves the sweeps and the dual kernels, and
+    its one :class:`SweepRows` every sweep.  A step tries
     w = v + (I - beta Q)^-1 (Tv - v) and keeps it if
     ||Tw - w|| <= beta ||Tv - v||, the most a plain sweep can leave;
     otherwise it takes Tv and counts as safeguarded.  Tw is the next
@@ -282,11 +322,11 @@ def _newton(m, spec, sweep, tol):
     """
     _check_tol(tol)
     beta = m.discount
-    memo = _SortedRows()
+    memo, rows = _SortedRows(), SweepRows(m)
 
     def visit(v):
-        tv, idx, eta = sweep(v, memo)
-        return v, tv, idx, eta, float(np.max(np.abs(tv - v)))
+        tv, idx, eta = sweep(v, memo, rows)
+        return v, tv, idx, eta, float(abs(tv - v).max())
 
     v, tv, idx, eta, res = visit(np.zeros(m.n_states))
     stop = tol * (1.0 - beta) / beta if beta > 0.0 else math.inf
@@ -313,17 +353,18 @@ def _newton(m, spec, sweep, tol):
             v, tv, idx, eta, res = visit(tv)
     if beta == 0.0:
         return tv, idx, 0, 0.0, 0.0, 0
-    residual = float(np.max(np.abs(sweep(tv, memo)[0] - tv)))
+    residual = float(abs(sweep(tv, memo, rows)[0] - tv).max())
     return tv, idx, steps, residual, beta * res / (1.0 - beta), safeguarded
 
 
-def _greedy_sweep(m, spec, v, memo=None):
+def _greedy_sweep(m, spec, v, memo=None, rows=None):
     """Lv, its argmax actions and their eta*: the sweep of value iteration
     and of policy iteration.  Inadmissible rows read 0 before the greedy
     step masks them, as in :func:`successor_risk`."""
+    rows = SweepRows(m) if rows is None else rows
     risk, eta = _successor_layer(m, spec, v, None, memo)
-    lv, idx = _greedy(m, m.reward + m.discount * np.where(m.admissible_mask, risk, 0.0))
-    return lv, idx, eta[np.arange(m.n_states), idx]
+    lv, idx = _greedy(m, rows.reward + rows.beta * _zero_inadmissible(risk, rows), rows)
+    return lv, idx, eta[rows.states, idx]
 
 
 def policy_iteration_recursive(m, spec, tol=1e-9):
@@ -337,7 +378,7 @@ def policy_iteration_recursive(m, spec, tol=1e-9):
     """
     m.require_valid()
     v, idx, steps, residual, bound, safeguarded = _newton(
-        m, spec, lambda v, memo: _greedy_sweep(m, spec, v, memo), tol)
+        m, spec, lambda v, memo, rows: _greedy_sweep(m, spec, v, memo, rows), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -362,11 +403,12 @@ def entropic_fast_path(m, gamma, tol=1e-9):
     return rep
 
 
-def _policy_sweep(m, spec, idx, v, memo=None):
+def _policy_sweep(m, spec, idx, v, memo=None, rows=None):
     """L_f v for the action index per state ``idx``, with idx and the eta* of
     f's rows: the sweep of :func:`_newton` with f held fixed."""
+    rows = SweepRows(m) if rows is None else rows
     risk, eta = _successor_layer(m, spec, v, idx, memo)
-    return m.reward[np.arange(m.n_states), idx] + m.discount * risk, idx, eta
+    return rows.reward[rows.states, idx] + rows.beta * risk, idx, eta
 
 
 def policy_evaluation_recursive(m, spec, policy, tol=1e-9):
@@ -374,7 +416,8 @@ def policy_evaluation_recursive(m, spec, policy, tol=1e-9):
     Newton loop of :func:`policy_iteration_recursive` with f held fixed."""
     m.require_valid()
     idx = policy.indices(m)
-    v = _newton(m, spec, lambda v, memo: _policy_sweep(m, spec, idx, v, memo), tol)[0]
+    v = _newton(m, spec,
+                lambda v, memo, rows: _policy_sweep(m, spec, idx, v, memo, rows), tol)[0]
     return value_dict(m, v)
 
 
@@ -383,7 +426,7 @@ def n_stage_value(m, spec, stage_policy, n_stages):
     operators applied to the zero function (stage N-1 innermost)."""
     m.require_valid()
     v = np.zeros(m.n_states)
-    memo = _SortedRows()
+    memo, rows = _SortedRows(), SweepRows(m)
     for k in reversed(range(n_stages)):
-        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v, memo)[0]
+        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v, memo, rows)[0]
     return value_dict(m, v)

@@ -61,7 +61,11 @@ _BOOT_CHUNK = 2**14
 
 
 def required_horizon(m, truncation_error):
-    """Smallest h >= 1 with beta^h d/(1-beta) <= truncation_error."""
+    """Smallest h >= 1 with beta^h d/(1-beta) <= truncation_error.  Only a
+    discount in [0, 1) has one: any other is refused with
+    :class:`~riskmdp.errors.ModelValidationError`, as a discounted solve
+    refuses it."""
+    m.require_valid()
     return _truncation_depth(m.discount, m.reward_bound, truncation_error)
 
 
@@ -390,8 +394,8 @@ def estimate(batch, functional, gamma=None, alpha=None):
         raise ParameterError("cvar functional needs alpha in (0, 1)")
     if functional == "mean":
         point, se = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
-        return EstimateReport(functional, point, se, batch.replications,
-                              batch.horizon, batch.truncation_error)
+        return _finite(EstimateReport(functional, point, se, batch.replications,
+                                      batch.horizon, batch.truncation_error))
     if functional == "entropic":
         scaled = -gamma * samples
 
@@ -411,9 +415,20 @@ def estimate(batch, functional, gamma=None, alpha=None):
             return 0.0 - lo - _oce_sorted(p, x, spec)[0]
     else:
         raise ParameterError(f"unknown functional {functional!r}")
-    return EstimateReport(functional, float(stats(np.arange(n)[None])[0]),
-                          _bootstrap_se(stats, n, batch.seed),
-                          batch.replications, batch.horizon, batch.truncation_error)
+    return _finite(EstimateReport(functional, float(stats(np.arange(n)[None])[0]),
+                                  _bootstrap_se(stats, n, batch.seed),
+                                  batch.replications, batch.horizon, batch.truncation_error))
+
+
+def _finite(rep):
+    """``rep`` if its estimate and standard error are finite; otherwise the
+    samples overflowed double range (rewards near 1e300 square to inf in the
+    variance), which is refused with :class:`ParameterError`."""
+    if not (math.isfinite(rep.point) and math.isfinite(rep.std_error)):
+        raise ParameterError(
+            f"the {rep.functional} estimate overflows double range for this model "
+            f"(estimate {rep.point!r}, standard error {rep.std_error!r})")
+    return rep
 
 
 def estimate_ergodic_entropic(m, policy, gamma, n, reps, seed, x0=None):

@@ -233,3 +233,40 @@ def augmented_level_loop(m, spec, grid, n, next_level, rows=None):
         values[si] = best
         argmax[si] = best_a
     return values, argmax
+
+
+def validate_loop(m, for_discounted=True):
+    """The invariant violations of a model, one (state, action) at a time:
+    the message list :meth:`~riskmdp.mdp.FiniteMdp.validate` must return,
+    with the same text in the same order."""
+    out = []
+    for s in m.states:
+        if not m.admissible[s]:
+            out.append(f"admissible[{s}]: empty action set")
+        seen = set()
+        for a in m.admissible[s]:
+            if a in seen:
+                out.append(f"admissible[{s}]: duplicate action {a}")
+            seen.add(a)
+    for si, s in enumerate(m.states):
+        for a in m.admissible[s]:
+            ai = m.action_index[a]
+            row = m.kernel[si, ai]
+            total = float(row.sum())
+            if not np.isfinite(row).all():
+                out.append(f"transitions[{s}][{a}]: probabilities must be finite")
+            elif abs(total - 1.0) > 1e-12:
+                out.append(f"transitions[{s}][{a}]: row sums to {total!r}, expected 1")
+            if (row < 0.0).any():
+                out.append(f"transitions[{s}][{a}]: negative probability")
+            r = float(m.reward[si, ai])
+            if not math.isfinite(r) or r < 0.0:
+                out.append(f"rewards[{s}][{a}]: must be finite and >= 0, got {r!r}")
+            if m.cost is not None:
+                c = float(m.cost[si, ai])
+                if not math.isfinite(c) or c < 0.0:
+                    out.append(f"costs[{s}][{a}]: must be finite and >= 0, got {c!r}")
+    out.extend(m._inadmissible_entries)
+    if for_discounted and not (0.0 <= m.discount < 1.0):
+        out.append(f"discount: must lie in [0, 1), got {m.discount!r}")
+    return out

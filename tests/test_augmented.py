@@ -140,6 +140,55 @@ class TestSandwich:
             assert inner.monotone_ok
 
 
+def _past_envelope(rel, upper):
+    """``augmented_T`` whose sweeps of the upper (``upper``) or lower
+    sequence move cell (0, 0, 0) ``rel`` * max(1, |cell|) past the
+    envelope they read, the wrong way."""
+    original = augmented.augmented_T
+
+    def pushed(m, spec, grid, V, want_argmax=False, rows=None):
+        out, argmax = original(m, spec, grid, V, want_argmax, rows)
+        if want_argmax != upper:  # the lower sequence asks for the argmax
+            step = rel * max(1.0, abs(V[0, 0, 0]))
+            out[0, 0, 0] = V[0, 0, 0] + (step if upper else -step)
+        return out, argmax
+
+    return pushed
+
+
+class TestMonotoneCheck:
+    # solve_sandwich allows each cell a slack relative to its magnitude
+    def test_rounding_at_huge_cells_passes(self, invariant_model):
+        # under entropic gamma = 50, u reaches about -1e31 at the bottom of
+        # the grid, where an absolute 1e-9 is below one ulp
+        m = invariant_model
+        grid = default_grid(m)
+        sol = solve_sandwich(m, UtilitySpec.entropic(50.0), grid)
+        assert sol.table.min() < -1e30
+        assert sol.monotone_ok and sol.converged
+        assert backward_pass(m, UtilitySpec.entropic(50.0), grid)[2]
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    @pytest.mark.parametrize("build,spec", [
+        (fixtures.invariant_model, UtilitySpec.entropic(50.0)),
+        (fixtures.jaquette, UtilitySpec.cvar(0.2)),
+    ], ids=["invariant_entropic50", "jaquette_cvar"])
+    def test_a_sweep_past_its_envelope_fails(self, monkeypatch, build, spec, upper):
+        m = build()
+        monkeypatch.setattr(augmented, "augmented_T", _past_envelope(1e-6, upper))
+        assert not solve_sandwich(m, spec, default_grid(m)).monotone_ok
+
+    def test_slack_is_relative_to_the_cell(self):
+        old = np.array([-np.inf, -1e31, 0.0, 2.0])
+        assert augmented._monotone(old, old.copy(), 1e-9)
+        assert augmented._monotone(old, old + [0.0, -1e21, -1e-9, -2e-9], 1e-9)
+        assert not augmented._monotone(old, old + [0.0, -1e23, 0.0, 0.0], 1e-9)
+        assert not augmented._monotone(old, old + [0.0, 0.0, -2e-9, 0.0], 1e-9)
+        # -inf only ever equals itself
+        assert not augmented._monotone(old, np.array([-np.inf, -np.inf, 0.0, 2.0]), 1e-9)
+        assert not augmented._monotone(np.array([np.nan]), np.array([np.nan]), 1e-9)
+
+
 PASS_SPECS = [
     UtilitySpec.entropic(0.5),
     UtilitySpec.cvar(0.3),

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -661,10 +662,12 @@ def test_any_input_exits_with_a_documented_code(fixture_paths, argv):
 def _mutated(obj, edits):
     """A deep copy of the JSON value ``obj`` with each (path, value) edit
     applied in turn: the node at path (a tuple of keys and list indices)
-    takes value, or is removed where value is _DROP.  Edits whose parent
-    no longer exists are skipped."""
+    takes a copy of value, or is removed where value is _DROP.  Edits whose
+    parent no longer exists are skipped.  Copying keeps a later edit from
+    changing a value the strategy shares between examples."""
     obj = json.loads(json.dumps(obj))
     for path, value in edits:
+        value = value if value is _DROP else copy.deepcopy(value)
         if not path:
             obj = {} if value is _DROP else value
             continue
@@ -738,21 +741,25 @@ def fuzz_path(tmp_path_factory):
 @example(edits=[(("transitions", "1", "b1", "2"), None), (("rewards", "1", "b1"), None)])
 @example(edits=[(("transitions", "1", "b1", "2"), "0.5"), (("admissible", "1"), "b1")])
 @example(edits=[(("transitions", "2", "a", "1"), True)])
+@example(edits=[(("discount",), 1)])
+@example(edits=[(("rewards", "2", "a"), 1e300)])
 def test_any_model_file_exits_with_a_documented_code(fuzz_path, edits):
-    # a mutated model file never escapes main() as an exception: validate
-    # and four solves (the total-OCE ones on the grid and the y-free path)
-    # end in a documented exit code, and exit 0 prints strict JSON
+    # a mutated model file never escapes main() as an exception: validate,
+    # five solves (the total-OCE ones on the grid and the y-free path) and a
+    # simulation end in a documented exit code, and exit 0 prints strict JSON
     fuzz_path.write_text(json.dumps(_mutated(_JAQUETTE, edits)))
     cvar = '{"type": "cvar", "alpha": 0.2}'
     for argv in (["validate"], ["solve", "--criterion", "risk_neutral"],
                  ["solve", "--criterion", "recursive_oce", "--utility", cvar],
                  ["solve", "--criterion", "total_oce", "--utility", cvar],
-                 ["solve", "--criterion", "total_oce", "--gamma", "1"]):
+                 ["solve", "--criterion", "total_oce", "--gamma", "1"],
+                 ["solve", "--criterion", "ergodic_entropic", "--gamma", "1"],
+                 ["simulate", "--policy", "fixture:jaquette.f", "--reps", "200"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--model", str(fuzz_path)])
         assert code in (0, 1, 2, 3, 4)
         if code == 2:
             assert "(at " in err.getvalue()
-        if code == 0 and argv[0] == "solve":
+        if code == 0 and argv[0] != "validate":
             json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -24,7 +24,7 @@ from riskmdp.mdp import (
 )
 
 from conftest import random_mdp
-from oracles import bfs_reachability
+from oracles import bfs_reachability, validate_loop
 
 
 class TestValidate:
@@ -68,6 +68,52 @@ class TestValidate:
             "rewards[2][b1]: action b1 is not admissible at state 2",
             "costs[1][a]: action a is not admissible at state 1",
         ]
+
+    @pytest.mark.parametrize("edits", [
+        [("transitions", "1", "b1", "2", float("nan"))],
+        [("transitions", "1", "b1", "2", float("inf")), ("transitions", "2", "a", "1", -0.5)],
+        [("transitions", "1", "b2", "1", 0.3), ("transitions", "3", "a", "3", 0.25)],
+        [("rewards", "1", "b2", -1.0), ("rewards", "3", "a", float("nan")),
+         ("costs", "2", "a", float("-inf")), ("costs", "1", "b1", -0.0)],
+        [("transitions", "2", "b1", "1", 1.0), ("rewards", "2", "b1", -5.0),
+         ("costs", "1", "a", float("nan"))],
+        [("admissible", "2", []), ("admissible", "1", ["b2", "b1", "b2", "b2"])],
+        [("admissible", "3", ["a", "a"]), ("transitions", "3", "a", "1", 2.0),
+         ("rewards", "3", "a", float("inf")), ("discount", 1.5)],
+    ], ids=["nan", "inf-negative", "row-sums", "rewards-costs", "inadmissible",
+            "empty-duplicate", "duplicate-mixed"])
+    def test_messages_match_the_pair_loop(self, jaquette, edits):
+        # the whole-table tests report what the per-(state, action) loop of
+        # the oracle reports, message for message and in the same order
+        obj = jaquette.to_dict()
+        obj["costs"] = {s: {a: 0.5 for a in acts} for s, acts in obj["admissible"].items()}
+        for *path, value in edits:
+            node = obj
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+        m = FiniteMdp.from_dict(obj)
+        for for_discounted in (True, False):
+            want = validate_loop(m, for_discounted)
+            assert want
+            assert m.validate(for_discounted) == want
+
+    def test_messages_match_the_pair_loop_on_random_models(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            m = random_mdp(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)),
+                           with_costs=True, full_admissible=False)
+            obj = m.to_dict()
+            for table in ("transitions", "rewards", "costs"):
+                s = m.states[int(rng.integers(m.n_states))]
+                a = obj["admissible"][s][0]
+                if table == "transitions":
+                    obj[table][s][a][m.states[0]] = float(rng.choice([-0.1, 0.7, np.nan]))
+                else:
+                    obj[table][s][a] = float(rng.choice([-1.0, np.nan, np.inf, 0.0]))
+            bad = FiniteMdp.from_dict(obj)
+            assert bad.validate() == validate_loop(bad)
+            assert m.validate() == validate_loop(m) == []
 
     def test_discount_range_only_for_discounted(self):
         m = FiniteMdp(

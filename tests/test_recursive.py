@@ -646,3 +646,71 @@ class TestSortedRowsMemo:
                 sweeps.clear()
                 solve_recursive(m, spec, tol=1e-10)
                 assert 2 <= len(builds) <= len(sweeps) // 4, (len(builds), len(sweeps))
+
+
+def _sweep_rows_models():
+    full = random_mdp(np.random.default_rng(71), n_states=5, n_actions=3, beta=0.8)
+    partial = random_mdp(np.random.default_rng(72), n_states=5, n_actions=3, beta=0.9,
+                         full_admissible=False)
+    return [fixtures.jaquette(), full, partial,
+            random_mdp(np.random.default_rng(73), n_states=3, n_actions=2, beta=0.0)]
+
+
+def _discounted_reports(m):
+    """The JSON reports of every discounted solve that sets up its sweeps once."""
+    from riskmdp.augmented import entropic_total
+    from riskmdp.neutral import policy_iteration
+
+    cvar = UtilitySpec.cvar(0.2)
+    return [value_iteration(m, tol=1e-10).to_json(), policy_iteration(m).to_json(),
+            solve_recursive(m, cvar, tol=1e-10).to_json(),
+            policy_iteration_recursive(m, cvar, tol=1e-10).to_json(),
+            entropic_fast_path(m, 1.0, tol=1e-10).to_json(),
+            entropic_total(m, 1.0).report().to_json()]
+
+
+class TestSweepRows:
+    # a solve sets its sweeps up once (SweepRows); the sweeps still go
+    # through the module names a tracer wraps, and nothing stays on the model
+    @pytest.mark.parametrize("m", _sweep_rows_models(), ids=["jaquette", "full", "partial",
+                                                               "beta0"])
+    def test_every_sweep_is_a_call_by_name(self, monkeypatch, m):
+        import riskmdp.neutral as neu
+        import riskmdp.recursive as rec
+        calls = []
+        for module, name in ((neu, "bellman_T"), (rec, "recursive_bellman_L")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        rep = value_iteration(m, tol=1e-10)
+        assert len(calls) == rep.iterations + 1
+        for spec in (UtilitySpec.cvar(0.2), UtilitySpec.entropic(1.0)):
+            calls.clear()
+            rep = solve_recursive(m, spec, tol=1e-10)
+            assert len(calls) == rep.iterations + 1
+
+    @pytest.mark.parametrize("m", _sweep_rows_models(), ids=["jaquette", "full", "partial",
+                                                               "beta0"])
+    def test_a_new_reward_table_is_read(self, m):
+        _discounted_reports(m)
+        m.reward = m.reward * np.linspace(0.2, 1.0, m.n_actions)
+        assert _discounted_reports(m) == _discounted_reports(FiniteMdp.from_dict(m.to_dict()))
+
+    def test_a_narrowed_copy_masks_its_own_actions(self):
+        # the copy of ergodic_policy_value: one admissible action per state,
+        # solved after the full model, reads its own mask
+        import copy
+
+        from riskmdp.recursive import SweepRows
+        m = random_mdp(np.random.default_rng(74), n_states=5, n_actions=3, beta=0.9)
+        assert SweepRows(m).inadmissible is None
+        full = _discounted_reports(m)
+        shadow = copy.copy(m)
+        shadow.admissible = {s: [m.actions[i % 3]] for i, s in enumerate(m.states)}
+        shadow.admissible_mask = np.zeros_like(m.admissible_mask)
+        shadow.admissible_mask[np.arange(5), np.arange(5) % 3] = True
+        assert SweepRows(shadow).inadmissible is not None
+        narrowed = _discounted_reports(shadow)
+        assert narrowed != full
+        assert narrowed == _discounted_reports(FiniteMdp.from_dict(shadow.to_dict()))
+        assert value_iteration(shadow).policy == {s: a[0] for s, a in shadow.admissible.items()}

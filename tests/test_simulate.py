@@ -6,7 +6,7 @@ import pytest
 from riskmdp import fixtures, simulate
 from riskmdp.augmented import entropic_total
 from riskmdp.ergodic import ergodic_rvi
-from riskmdp.errors import ParameterError, PolicyError
+from riskmdp.errors import ModelValidationError, ParameterError, PolicyError
 from riskmdp.mdp import FiniteMdp, StagePolicy, StationaryPolicy, enumerate_policies
 from riskmdp.oce import DiscreteDistribution, UtilitySpec, _oce_sorted, cvar, logsumexp
 from riskmdp.simulate import (
@@ -136,6 +136,27 @@ class TestRollout:
         top = jaquette.reward_bound / (1 - jaquette.discount)
         assert jaquette.discount ** h * top <= 1e-8
         assert jaquette.discount ** (h - 1) * top > 1e-8
+
+    @pytest.mark.parametrize("functional,gamma,alpha", [("mean", None, None),
+                                                        ("entropic", 1.0, None),
+                                                        ("cvar", None, 0.2)])
+    def test_an_overflowing_estimate_is_refused(self, jaquette, functional, gamma, alpha):
+        # rewards near 1e300 square to inf in the variance: no JSON number
+        # can carry the standard error
+        jaquette.reward[jaquette.state_index["2"], jaquette.action_index["a"]] = 1e300
+        batch = rollout(jaquette, fixtures.jaquette_policy("f"), "1",
+                        required_horizon(jaquette, 1e-8), seed=0, reps=200)
+        with pytest.raises(ParameterError, match="overflows double range"), \
+                np.errstate(over="ignore"):
+            estimate(batch, functional, gamma=gamma, alpha=alpha)
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, -0.5])
+    def test_required_horizon_needs_a_discount_below_one(self, jaquette, beta):
+        # no horizon meets a truncation budget there: refused as a discounted
+        # solve refuses the model, not a math domain error
+        jaquette.discount = beta
+        with pytest.raises(ModelValidationError, match=r"discount: must lie in \[0, 1\)"):
+            required_horizon(jaquette, 1e-8)
 
 
 def gappy_model():
