@@ -226,7 +226,9 @@ def _policy_from_source(m, source):
 
 
 def cmd_simulate(args):
-    m = load(args.model)
+    # a rollout discounts its rewards: a discount outside [0, 1) is refused
+    # with exit code 1, with or without --horizon, as a discounted solve is
+    m = load(args.model, validate=False).require_valid()
     policy = _policy_from_source(m, args.policy)
     x0 = args.x0 if args.x0 else m.states[0]
     horizon = args.horizon if args.horizon is not None else required_horizon(m, args.trunc_err)

@@ -1,9 +1,10 @@
 """Risk-neutral baseline solvers: discounted and average reward, Q-learning.
 
 Discounted criterion: V(x) = max_a { r(x,a) + beta * sum_y q(y|x,a) V(y) },
-solved by value iteration (contraction with modulus beta), policy iteration,
-or tabular Q-learning; every policy value is one linear solve
-(I - beta P_f) V = r_f.  Average criterion: the unichain optimality equation
+solved by value iteration (contraction with modulus beta, each iterate
+shifted by the midpoint of its span bounds), policy iteration, or tabular
+Q-learning; every policy value is one linear solve (I - beta P_f) V = r_f.
+Average criterion: the unichain optimality equation
 xi + h(x) = max_a { r(x,a) + sum_y q(y|x,a) h(y) }, solved by relative value
 iteration on the kernel damped by the self-loop mix (1/2) I + (1/2) q, which
 is aperiodic and has the same gain; plus the vanishing-discount quantities
@@ -68,9 +69,14 @@ def value_iteration(m, tol=1e-9):
     """Iterate T to a sup-norm guarantee ||V - V*|| <= tol.
 
     Runs the contraction loop of the recursive criterion at tol / 2: it stops
-    once ||V_{k+1} - V_k|| <= (tol / 2) (1 - beta) / beta, which by the
-    standard one-step contraction bound leaves ||V - V*|| <= tol / 2 (for
-    beta = 0 a single sweep is exact), and shares its sweep budget.
+    once ||TV - V|| <= (tol / 2) (1 - beta) / beta and returns TV, which by
+    the standard one-step contraction bound leaves ||TV - V*|| <= tol / 2
+    (for beta = 0 a single sweep is exact), and shares its sweep budget.
+    T(V + c) = TV + beta c, so the loop continues from TV shifted by the
+    midpoint of its span bounds (:func:`~riskmdp.recursive._iterate`): about
+    10 sweeps at beta = 0.95 on dense models, where plain sweeps take about
+    470.  It stays sweeps only, an independent check on
+    :func:`policy_iteration`.
     """
     m.require_valid()
     _check_tol(tol)  # checked here so the message names tol, not tol / 2

@@ -382,26 +382,36 @@ def estimate(batch, functional, gamma=None, alpha=None):
     the classical formula.  Each statistic takes a chunk of resamples at
     once: the entropic one as a row-wise log-sum-exp, the tail mean over the
     samples sorted once, where a resample's law is its counts over them and
-    a chunk is one weight matrix of the OCE layer.
+    a chunk is one weight matrix of the OCE layer.  Both figures are computed
+    with overflow warnings off: an overflow reaches the caller only as the
+    :class:`ParameterError` of :func:`_finite`.
     """
     if batch.replications < 100:
         raise ParameterError("need at least 100 replications to estimate")
-    samples = batch.discounted_rewards
-    n = samples.size
     if functional == "entropic" and not (gamma and 0.0 < gamma < math.inf):
         raise ParameterError("entropic functional needs a finite gamma > 0")
     if functional == "cvar" and not (alpha and 0.0 < alpha < 1.0):
         raise ParameterError("cvar functional needs alpha in (0, 1)")
+    if functional not in ("mean", "entropic", "cvar"):
+        raise ParameterError(f"unknown functional {functional!r}")
+    with np.errstate(over="ignore"):
+        point, se = _point_and_se(batch, functional, gamma, alpha)
+    return _finite(EstimateReport(functional, point, se, batch.replications,
+                                  batch.horizon, batch.truncation_error))
+
+
+def _point_and_se(batch, functional, gamma, alpha):
+    """(point estimate, standard error) of :func:`estimate`."""
+    samples = batch.discounted_rewards
+    n = samples.size
     if functional == "mean":
-        point, se = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
-        return _finite(EstimateReport(functional, point, se, batch.replications,
-                                      batch.horizon, batch.truncation_error))
+        return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
     if functional == "entropic":
         scaled = -gamma * samples
 
         def stats(idx):
             return -(logsumexp(scaled[idx], axis=-1) - math.log(n)) / gamma
-    elif functional == "cvar":
+    else:
         # atoms above the smallest sample lo, so the tail sums round on the
         # spread of the samples rather than on their level
         order = np.argsort(samples, kind="stable")
@@ -413,11 +423,7 @@ def estimate(batch, functional, gamma=None, alpha=None):
             bins = (rank[idx] + n * np.arange(k)[:, None]).ravel()
             p = np.bincount(bins, minlength=k * n).reshape(k, n) / n
             return 0.0 - lo - _oce_sorted(p, x, spec)[0]
-    else:
-        raise ParameterError(f"unknown functional {functional!r}")
-    return _finite(EstimateReport(functional, float(stats(np.arange(n)[None])[0]),
-                                  _bootstrap_se(stats, n, batch.seed),
-                                  batch.replications, batch.horizon, batch.truncation_error))
+    return float(stats(np.arange(n)[None])[0]), _bootstrap_se(stats, n, batch.seed)
 
 
 def _finite(rep):

@@ -382,6 +382,21 @@ class TestSimulateCmd:
         assert code == 4
         assert out == "" and "horizon" in err
 
+    @pytest.mark.parametrize("horizon", [None, "50"])
+    @pytest.mark.parametrize("beta", [-0.5, 1.0, 1.5])
+    def test_bad_discount(self, capsys, tmp_path, beta, horizon):
+        # rollouts discount their rewards: a discount outside [0, 1) fails
+        # validation with exit 1, whether or not a horizon is given
+        m = fixtures.jaquette()
+        m.discount = beta
+        path = tmp_path / "jaquette.json"
+        save(m, path)
+        argv = ["simulate", "--model", str(path), "--policy", "fixture:jaquette.f",
+                "--reps", "200"]
+        code, out, err = run(capsys, argv + (["--horizon", horizon] if horizon else []))
+        assert code == 1
+        assert out == "" and "discount: must lie in [0, 1)" in err
+
     @pytest.mark.parametrize("trunc_err", ["0", "-0.5", "nan", "inf"])
     def test_bad_truncation_budget(self, capsys, model_path, trunc_err):
         code, out, err = run(capsys, ["simulate", "--model", model_path,

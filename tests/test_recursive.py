@@ -409,6 +409,23 @@ class TestSweepBudget:
             _iterate(jaquette, sweep, 1e-9)
         assert len(calls) == 1
 
+    def test_non_finite_sweep_raises_at_any_sweep(self, jaquette):
+        calls = []
+
+        def sweep(v):
+            calls.append(1)
+            tv, idx = bellman_T(jaquette, v)
+            return (tv + np.nan if len(calls) == 3 else tv), idx
+
+        with pytest.raises(IterationLimitError):
+            _iterate(jaquette, sweep, 1e-9)
+        assert len(calls) == 3
+
+    def test_shifted_iterate_takes_few_sweeps(self):
+        # plain sweeps at beta = 0.95 took 456 here
+        m = random_mdp(np.random.default_rng(0), 60, 4, beta=0.95)
+        assert solve_recursive(m, UtilitySpec.cvar(0.2)).iterations <= 25
+
     def test_tolerance_must_be_positive(self, jaquette):
         with pytest.raises(ParameterError):
             solve_recursive(jaquette, UtilitySpec.cvar(0.3), tol=0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ class TestRollout:
         with pytest.raises(ParameterError, match="overflows double range"), \
                 np.errstate(over="ignore"):
             estimate(batch, functional, gamma=gamma, alpha=alpha)
+
+    @pytest.mark.parametrize("functional,gamma,alpha", [("mean", None, None),
+                                                        ("entropic", 1.0, None),
+                                                        ("cvar", None, 0.2)])
+    def test_an_overflowing_estimate_warns_nothing(self, jaquette, functional, gamma, alpha):
+        # the overflow reaches the caller only as the ParameterError, with no
+        # RuntimeWarning before it
+        jaquette.reward[jaquette.state_index["2"], jaquette.action_index["a"]] = 1e300
+        batch = rollout(jaquette, fixtures.jaquette_policy("f"), "1",
+                        required_horizon(jaquette, 1e-8), seed=0, reps=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflows double range"):
+                estimate(batch, functional, gamma=gamma, alpha=alpha)
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, -0.5])
     def test_required_horizon_needs_a_discount_below_one(self, jaquette, beta):
