@@ -631,7 +631,9 @@ def entropic_total(m, gamma, tail_eps=1e-8):
 
     Levels run backward from the truncation depth, where the continuation is
     set to zero (error at most beta^{N+1} d/(1-beta), which shift-additivity
-    propagates unamplified to level 0).  All logs go through log-sum-exp.
+    propagates unamplified to level 0).  All logs go through log-sum-exp,
+    over the ln q of one :class:`~riskmdp.recursive.SweepRows` that serves
+    every level.
     """
     spec = UtilitySpec.entropic(gamma)
     m.require_valid()
@@ -643,7 +645,7 @@ def entropic_total(m, gamma, tail_eps=1e-8):
     level_argmax = np.zeros((n_trunc + 1, m.n_states), dtype=np.int16)
     rows = SweepRows(m)
     for n in range(n_trunc, -1, -1):
-        q = beta ** n * rows.reward
+        q = beta ** n * m.reward
         if n < n_trunc:  # the deepest level's continuation is exactly zero
             q = q + successor_risk(m, spec, values[n + 1], rows)
         values[n], level_argmax[n] = _greedy(m, q, rows)

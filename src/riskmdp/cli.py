@@ -44,8 +44,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("RISKMDP_THREADS", "1")),
+    # a string default goes through type=int, so a bad RISKMDP_THREADS is a
+    # usage error of the commands that take --threads
+    p.add_argument("--threads", type=int, default=os.environ.get("RISKMDP_THREADS", "1"),
                    help="worker budget; solvers are deterministic regardless")
 
 

@@ -29,7 +29,10 @@ eigenvalue affinely, rho_damped = (1 - lam) + lam * rho, and keeps the
 eigenvector and the argmin, so the reported xi is undamped.  The value of a single policy is the same
 iteration on a copy of the model restricted to that policy's actions.
 
-Every sweep runs in log space (log W), so no gamma causes overflow.
+Every sweep runs in log space (log W), so no gamma causes overflow.  One
+call of :func:`ergodic_rvi` sets itself up once, in one
+:class:`~riskmdp.recursive.SweepRows` that holds ln q for every sweep and
+tilted kernel of the call.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .mdp import (
 )
 from .neutral import DAMPING, MAX_ITERS, _reference_index, _rvi_stop
 from .oce import UtilitySpec
-from .recursive import _check_tol, _dual_kernel, _successor_layer
+from .recursive import SweepRows, _check_tol, _dual_kernel, _successor_layer
 from .report import SolveReport
 
 
@@ -88,20 +91,21 @@ class ErgodicSolution:
 _TILT = UtilitySpec.entropic(1.0)
 
 
-def _log_min_sweep(m, gamma, lw):
+def _log_min_sweep(m, gamma, lw, rows):
     """log of e^{gamma c(x,a)} sum_y q W for every (x, a), batched, to be
-    minimized over a; +inf at inadmissible."""
+    minimized over a; +inf at inadmissible.  ``rows`` is the solve's
+    :class:`~riskmdp.recursive.SweepRows`, which holds ln q."""
     with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
         return np.where(m.admissible_mask,
-                        gamma * m.cost - _successor_layer(m, _TILT, -lw)[0], np.inf)
+                        gamma * m.cost - _successor_layer(m, _TILT, -lw, None, rows)[0], np.inf)
 
 
-def _tilted_kernel(m, lw, idx):
+def _tilted_kernel(m, lw, idx, rows):
     """Q(x, y) = q(y|x,a) e^{lw(y)} / sum_y q e^{lw} over the kernel rows
     (x, idx[x]): the gradient of the log sweep at lw, the
     :func:`~riskmdp.recursive._dual_kernel` of the tilt.  Each row sums to 1."""
-    eta = _successor_layer(m, _TILT, -lw, idx)[1]
-    return _dual_kernel(m, _TILT, -lw, idx, eta)
+    eta = _successor_layer(m, _TILT, -lw, idx, rows)[1]
+    return _dual_kernel(m, _TILT, -lw, idx, eta, rows)
 
 
 def _residual(vals, lrho, lw):
@@ -110,11 +114,11 @@ def _residual(vals, lrho, lw):
         return float(np.max(np.abs(np.expm1(vals.min(axis=1) - lrho - lw))))
 
 
-def _newton_trial(m, gamma, z, lw, vals):
+def _newton_trial(m, gamma, z, lw, vals, rows):
     """(lw + delta, l, its sweep, its residual) from one solve of
     (I - Q) delta + l 1 = T(lw) - lw with delta(z) = 0, Q the tilted kernel
     of the greedy rows; None for a singular system or a non-finite trial."""
-    a = np.eye(m.n_states) - _tilted_kernel(m, lw, np.argmin(vals, axis=1))
+    a = np.eye(m.n_states) - _tilted_kernel(m, lw, np.argmin(vals, axis=1), rows)
     a[:, z] = 1.0  # delta(z) = 0 frees column z for l
     with np.errstate(invalid="ignore", over="ignore"):
         try:
@@ -126,7 +130,7 @@ def _newton_trial(m, gamma, z, lw, vals):
         trial = lw + step
     if not (np.isfinite(lrho) and np.all(np.isfinite(trial))):
         return None
-    tvals = _log_min_sweep(m, gamma, trial)
+    tvals = _log_min_sweep(m, gamma, trial, rows)
     return trial, lrho, tvals, _residual(tvals, lrho, trial)
 
 
@@ -166,14 +170,15 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
 
     z = _reference_index(m, reference_state)
     lam = DAMPING
+    rows = SweepRows(m)
     lw = anchor = np.zeros(m.n_states)
     # the sweep at the new lw gives both this iteration's residual and the
     # next iteration's update
-    vals = _log_min_sweep(m, gamma, lw)
+    vals = _log_min_sweep(m, gamma, lw, rows)
     residual = np.inf
     safeguarded = 0
     for it in range(1, MAX_ITERS + 1):
-        trial = _newton_trial(m, gamma, z, lw, vals)
+        trial = _newton_trial(m, gamma, z, lw, vals, rows)
         if trial is not None and trial[3] <= residual:  # a NaN residual fails
             lw, lrho, vals, residual = trial
         else:
@@ -186,7 +191,7 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
                     "ergodic RVI produced a non-finite iterate", np.nan, it)
             # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
             lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
-            vals = _log_min_sweep(m, gamma, lw)
+            vals = _log_min_sweep(m, gamma, lw, rows)
             residual = _residual(vals, lrho, lw)
         done, anchor = _rvi_stop("ergodic RVI", it, lw, anchor, residual, tol)
         if done:

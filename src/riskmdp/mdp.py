@@ -13,7 +13,6 @@ than shifted (shift additivity of the criteria is the caller-side remedy).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -133,7 +132,8 @@ class FiniteMdp:
                 pointer = f"/transitions/{s}/{a}"
                 cols = _indices(self.state_index, "state", _object(dist, pointer), pointer)
                 self.kernel[si, ai, cols] = _numbers(dist, pointer)
-        # read-only, so the cached log_kernel cannot go stale
+        # read-only: the model is immutable, and every solve reads its
+        # kernel from here
         self.kernel.flags.writeable = False
 
         self.reward = self._action_table("rewards", rewards)
@@ -165,21 +165,12 @@ class FiniteMdp:
     def n_actions(self):
         return len(self.actions)
 
-    @functools.cached_property
-    def log_kernel(self):
-        """log q(y|x,a), -inf where q = 0, computed once per model."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.kernel)
-
     @property
     def reward_bound(self):
         """Upper reward bound d = max admissible r(x, a)."""
         if not self.admissible_mask.any():
             return 0.0
         return float(self.reward[self.admissible_mask].max())
-
-    def admissible_actions(self, state):
-        return list(self.admissible[state])
 
     def admissible_pairs(self):
         """(state_index, action_index) pairs in declared order."""
@@ -543,14 +534,6 @@ class UnichainCheck:
 
     reports: list
     exhaustive: bool
-
-    @property
-    def all_unichain(self):
-        return all(r.unichain for r in self.reports)
-
-    @property
-    def all_irreducible(self):
-        return all(r.irreducible for r in self.reports)
 
     @property
     def flagged(self):

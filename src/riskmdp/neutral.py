@@ -60,9 +60,10 @@ _MAX_ROUNDS = 10**4
 def bellman_T(m, v, rows=None):
     """One Bellman sweep.  Returns (Tv, the greedy action index per state).
     ``rows`` is the solve's :class:`~riskmdp.recursive.SweepRows` (built
-    here when not given)."""
+    here when not given).  The product stays (S, A, S) @ v: the flattened
+    (S*A, S) one rounds differently on some models."""
     rows = SweepRows(m) if rows is None else rows
-    return _greedy(m, rows.reward + rows.beta * (rows.kernel @ np.asarray(v, dtype=float)), rows)
+    return _greedy(m, m.reward + m.discount * (m.kernel @ np.asarray(v, dtype=float)), rows)
 
 
 def value_iteration(m, tol=1e-9):
@@ -116,8 +117,8 @@ def policy_iteration(m):
     states = rows.states
     idx = first_admissible_policy(m).indices(m)
     for it in range(1, _MAX_ROUNDS + 1):
-        v = _chain_value(rows.kernel[states, idx], rows.reward[states, idx], rows.beta)
-        q = rows.reward + rows.beta * (rows.kernel @ v)
+        v = _chain_value(m.kernel[states, idx], m.reward[states, idx], m.discount)
+        q = m.reward + m.discount * (m.kernel @ v)
         top, best = _greedy(m, q, rows)
         improved = np.where(top <= q[states, idx] + _TIE_TOL, idx, best)
         if np.array_equal(improved, idx):

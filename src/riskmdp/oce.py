@@ -81,14 +81,6 @@ class DiscreteDistribution:
         self.probs = probs[keep]
 
     @classmethod
-    def from_atoms(cls, atoms):
-        """Build from an iterable of (value, probability) pairs."""
-        pairs = list(atoms)
-        if not pairs:
-            raise DistributionError("no atoms given")
-        return cls([v for v, _ in pairs], [p for _, p in pairs])
-
-    @classmethod
     def point_mass(cls, value):
         return cls([value], [1.0])
 

@@ -15,30 +15,30 @@ action) table, or for one row per state, with one call of the sorted OCE
 layer in :mod:`riskmdp.oce`, the same code that :func:`~riskmdp.oce.oce`
 runs on a single law:
 
-* entropic: a log-sum-exp over the model's cached log kernel, which never
-  under- or overflows and needs no order (the ergodic log sweep is this
-  layer too, and no other module reads the log kernel);
+* entropic: a log-sum-exp over the log kernel ln q, which never under- or
+  overflows and needs no order (the ergodic log sweep is this layer too);
 * cvar, mean_variance, piecewise_linear: V is sorted once per sweep, and the
-  kernel rows, permuted to that order, are the layer's rows.  Each solve
-  keeps one memo, :class:`_SortedRows`: the last (row selection, stable
-  argsort of V) with its permuted rows and their p-part
-  (:func:`~riskmdp.oce._oce_weights`).  It is rebuilt only when the key
-  changes, which in a value iteration happens a few times in all, and a
-  sweep from the memo gives the same bits as one without it.
+  kernel rows, permuted to that order, are the layer's rows.
 
-Every solver takes its greedy step, the masked max and first argmax of an
-(S, A) action-value table, from :func:`_greedy`, and its stopping tolerance
-through :func:`_check_tol`: one <= 0 or not finite is refused.  A discounted
-solve sets its sweeps up once, in one :class:`SweepRows` that every sweep
-and greedy step of the solve reads; the sweeps still go through their module
-names (:func:`recursive_bellman_L`, :func:`~riskmdp.neutral.bellman_T`), so
-a wrapper put there sees each one.
+Each solve sets itself up once, in one :class:`SweepRows` that every sweep,
+layer, dual kernel and greedy step of the solve reads: the state index and
+the inadmissible mask; ln q, taken on the first entropic read; and the last
+(row selection, stable argsort of V) with its permuted rows and their p-part
+(:func:`~riskmdp.oce._oce_weights`).  Those rows are rebuilt only when the
+key changes, which in a value iteration happens a few times in all, and a
+sweep from them gives the same bits as one that rebuilds them.  Nothing is
+kept on the model.  The sweeps still go through their module names
+(:func:`recursive_bellman_L`, :func:`~riskmdp.neutral.bellman_T`), so a
+wrapper put there sees each one.  Every solver takes its greedy step, the
+masked max and first argmax of an (S, A) action-value table, from
+:func:`_greedy`, and its stopping tolerance through :func:`_check_tol`: one
+<= 0 or not finite is refused.
 
 The solver, :func:`policy_iteration_recursive`, is Newton's method on the
 same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
 weights Q[x, y] = q(y|x,a) u'(V(y) - eta*) (:func:`_dual_kernel`, built
-from the sweep's eta* for the greedy rows only, and for CVaR the memo's tail
-take / alpha of those rows), and each step solves
+from the sweep's eta* for the greedy rows only, and for CVaR the tail
+take / alpha of those rows held in the solve's set-up), and each step solves
 (I - beta Q_f) dV = LV - V for the greedy f.  It takes a few steps.
 :func:`policy_evaluation_recursive` is the same loop with f held fixed and
 reads the policy's kernel rows only.
@@ -111,58 +111,30 @@ def push_forward(m, state_idx, action_idx, v):
     return DiscreteDistribution(uniq, merged / merged.sum())
 
 
-class _SortedRows:
-    """The kernel rows a solve last read, permuted to the sort order of v,
-    with their p-part (:func:`~riskmdp.oce._oce_weights`): one memo per
-    solve call, keyed by the row selection and the order.
-
-    ``idx`` is None for the whole (state, action) table, else the action
-    index per state of the rows (x, idx[x]).  A value iteration changes the
-    stable argsort of v a few times in all, so most sweeps reuse both.
-    """
-
-    __slots__ = ("key", "p", "weights")
-
-    def __init__(self):
-        self.key = self.p = self.weights = None
-
-    def holds(self, idx, order):
-        """Whether the memo holds the rows ``idx`` in the atom order ``order``."""
-        return self.key == _rows_key(idx, order)
-
-    def get(self, m, spec, idx, order):
-        """(permuted kernel rows, their p-part), rebuilt only on a new key."""
-        key = _rows_key(idx, order)
-        if key != self.key:
-            rows = Ellipsis if idx is None else (np.arange(m.n_states), idx)
-            self.p = m.kernel[rows][..., order]
-            self.weights = _oce_weights(self.p, spec)
-            self.key = key
-        return self.p, self.weights
-
-
 def _rows_key(idx, order):
-    """The memo key of :class:`_SortedRows`: the bytes of the row selection
-    (None for the whole table) and of the order, both integer index arrays."""
+    """The key of the sorted rows a :class:`SweepRows` holds: the bytes of
+    the row selection (None for the whole table) and of the order, both
+    integer index arrays."""
     return None if idx is None else idx.tobytes(), order.tobytes()
 
 
-def _successor_layer(m, spec, v, idx=None, memo=None):
+def _successor_layer(m, spec, v, idx=None, rows=None):
     """(S_u(v(X')), eta*) over every kernel row (x, a), as two (S, A) tables,
     or over the rows (x, idx[x]) only when an action index per state is given.
 
-    One call of the sorted OCE layer: a log-sum-exp over the cached log kernel
-    for the entropic kind, which needs no atom order; otherwise v is sorted
-    and the kernel rows, permuted to that order, are the layer's rows.  Those
-    rows and their p-part come from ``memo``, the solve's
-    :class:`_SortedRows`, when it holds them.
+    One call of the sorted OCE layer: a log-sum-exp over ln q for the
+    entropic kind, which needs no atom order; otherwise v is sorted and the
+    kernel rows, permuted to that order, are the layer's rows.  Both come
+    from ``rows``, the solve's :class:`SweepRows` (built here when not
+    given).
     """
     v = np.asarray(v, dtype=float)
+    rows = SweepRows(m) if rows is None else rows
     if spec.kind == "entropic":
-        rows = Ellipsis if idx is None else (np.arange(m.n_states), idx)
-        return _oce_sorted(None, v, spec, log_p=m.log_kernel[rows])
+        sel = Ellipsis if idx is None else (rows.states, idx)
+        return _oce_sorted(None, v, spec, log_p=rows.log_kernel(m)[sel])
     order = np.argsort(v, kind="stable")
-    p, weights = (_SortedRows() if memo is None else memo).get(m, spec, idx, order)
+    p, weights = rows.sorted(m, spec, idx, order)
     return _oce_sorted(p, v[order], spec, weights=weights)
 
 
@@ -174,8 +146,8 @@ def successor_risk(m, spec, v, rows=None):
     given, which validation holds to a mass of 1 within 1e-12.  ``rows`` is
     the solve's :class:`SweepRows` (built here when not given).
     """
-    return _zero_inadmissible(_successor_layer(m, spec, v)[0],
-                              SweepRows(m) if rows is None else rows)
+    rows = SweepRows(m) if rows is None else rows
+    return _zero_inadmissible(_successor_layer(m, spec, v, None, rows)[0], rows)
 
 
 def _zero_inadmissible(risk, rows):
@@ -184,50 +156,78 @@ def _zero_inadmissible(risk, rows):
     return risk if rows.inadmissible is None else np.where(rows.inadmissible, 0.0, risk)
 
 
-def _dual_kernel(m, spec, v, idx, eta, memo=None):
+def _dual_kernel(m, spec, v, idx, eta, rows=None):
     """Q[x, y] = dS_u/dv(y) over the kernel rows (x, idx[x]), at the eta* that
     :func:`_successor_layer` returned for them: the gradient of the layer,
     from :func:`~riskmdp.oce._oce_gradient`.  Each row sums to 1.
 
-    After a whole-table layer at the same v, ``memo`` holds every row in v's
-    order, and the rows (x, idx[x]) of it and of its p-part are read there.
+    ``rows`` is the solve's :class:`SweepRows` (built here when not given).
+    After a whole-table layer at the same v it holds every row in v's
+    order, and the rows (x, idx[x]) and their p-part are read there.
     """
     v = np.asarray(v, dtype=float)
-    rows = np.arange(m.n_states)
+    rows = SweepRows(m) if rows is None else rows
     if spec.kind == "entropic":
-        return _oce_gradient(None, v, spec, eta, log_p=m.log_kernel[rows, idx])
+        return _oce_gradient(None, v, spec, eta, log_p=rows.log_kernel(m)[rows.states, idx])
     order = np.argsort(v, kind="stable")
-    if memo is not None and memo.holds(None, order):
-        p, weights = memo.p[rows, idx], tuple(w[rows, idx] for w in memo.weights)
-    else:
-        p, weights = (_SortedRows() if memo is None else memo).get(m, spec, idx, order)
+    p, weights = rows.sorted(m, spec, idx, order)
     dual = np.empty((m.n_states, m.n_states))
     dual[:, order] = _oce_gradient(p, v[order], spec, eta, weights=weights)
     return dual
 
 
 class SweepRows:
-    """What every Bellman sweep of one discounted solve reads, set up once
-    per solve: the state index, the inadmissible mask (None when every
-    action is admissible, and then no sweep masks at all), the reward table,
-    beta and the kernel.
+    """The set-up of one solve, made once and read by each of its sweeps,
+    layers and greedy steps:
 
-    Nothing is kept on the model: a solve after a change of ``m.reward``, or
-    on a copy whose ``admissible_mask`` is narrowed, sets up its own.  The
-    kernel stays (S, A, S): the flattened (S*A, S) product rounds
-    differently on some models.  A plain class, like
-    :class:`~riskmdp.augmented.LevelRows`.
+    * ``states``, the state index, and ``inadmissible``, the mask of
+      inadmissible actions (None when every action is admissible, and then
+      no sweep masks at all);
+    * ln q, the entropic layer's log kernel, taken on its first read, so a
+      solve that never reads it never pays for it;
+    * for the sorted kinds, the kernel rows the solve last read, permuted
+      to the sort order of v, with their p-part
+      (:func:`~riskmdp.oce._oce_weights`), held under the key
+      :func:`_rows_key` of (row selection, order).  A value iteration
+      changes the stable argsort of v a few times in all, so most sweeps
+      reuse both, and a sweep from them gives the same bits as one that
+      rebuilds them.
+
+    The sweeps read rewards, beta and the kernel from the model.  Nothing
+    is kept on the model: a solve after a change of ``m.reward``, or on a
+    copy whose ``admissible_mask`` is narrowed, sets up its own.  A plain
+    class, like :class:`~riskmdp.augmented.LevelRows`.
     """
 
-    __slots__ = ("states", "inadmissible", "reward", "beta", "kernel")
+    __slots__ = ("states", "inadmissible", "_log_q", "_key", "_p", "_weights")
 
     def __init__(self, m):
         self.states = np.arange(m.n_states)
         inadmissible = ~m.admissible_mask
         self.inadmissible = inadmissible if inadmissible.any() else None
-        self.reward = m.reward
-        self.beta = m.discount
-        self.kernel = m.kernel
+        self._log_q = self._key = self._p = self._weights = None
+
+    def log_kernel(self, m):
+        """ln q(y|x,a) of the model, -inf where q = 0."""
+        if self._log_q is None:
+            with np.errstate(divide="ignore"):
+                self._log_q = np.log(m.kernel)
+        return self._log_q
+
+    def sorted(self, m, spec, idx, order):
+        """(kernel rows, their p-part) of the rows ``idx`` (None: the whole
+        table), permuted to the atom order ``order``.  Rows of a whole
+        table held in that order are read from it; other rows replace the
+        held ones."""
+        key = _rows_key(idx, order)
+        if key != self._key:
+            if idx is not None and self._key == _rows_key(None, order):
+                return (self._p[self.states, idx],
+                        tuple(w[self.states, idx] for w in self._weights))
+            self._p = m.kernel[Ellipsis if idx is None else (self.states, idx)][..., order]
+            self._weights = _oce_weights(self._p, spec)
+            self._key = key
+        return self._p, self._weights
 
 
 def _greedy(m, q, rows=None):
@@ -242,11 +242,11 @@ def _greedy(m, q, rows=None):
     return q[rows.states, idx], idx
 
 
-def recursive_bellman_L(m, spec, v, memo=None, rows=None):
+def recursive_bellman_L(m, spec, v, rows=None):
     """One sweep of the nested-risk operator.  Returns (Lv, the argmax action
-    index per state); see :func:`_greedy` for ties.  ``memo`` is the solve's
-    :class:`_SortedRows` and ``rows`` its :class:`SweepRows`."""
-    return _greedy_sweep(m, spec, v, memo, rows)[:2]
+    index per state); see :func:`_greedy` for ties.  ``rows`` is the solve's
+    :class:`SweepRows` (built here when not given)."""
+    return _greedy_sweep(m, spec, v, rows)[:2]
 
 
 def _sweep_budget(beta, stop, delta_1):
@@ -305,9 +305,9 @@ def solve_recursive(m, spec, tol=1e-9):
     """Fixed point of L with a stationary argmax policy attached, by value
     iteration: the verification path of :func:`policy_iteration_recursive`."""
     m.require_valid()
-    memo, rows = _SortedRows(), SweepRows(m)
+    rows = SweepRows(m)
     v, idx, it, residual, bound = _iterate(
-        m, lambda v: recursive_bellman_L(m, spec, v, memo, rows), tol)
+        m, lambda v: recursive_bellman_L(m, spec, v, rows), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -322,11 +322,10 @@ def solve_recursive(m, spec, tol=1e-9):
 def _newton(m, spec, sweep, tol):
     """Safeguarded Newton iteration for the fixed point of a sweep T, from 0.
 
-    ``sweep(v, memo, rows)`` returns Tv, the action index per state of the
-    kernel rows it chose and their eta*; the :func:`_dual_kernel` of those
-    rows is the gradient of T / beta at v.  The loop's one
-    :class:`_SortedRows` memo serves the sweeps and the dual kernels, and
-    its one :class:`SweepRows` every sweep.  A step tries
+    ``sweep(v, rows)`` returns Tv, the action index per state of the kernel
+    rows it chose and their eta*; the :func:`_dual_kernel` of those rows is
+    the gradient of T / beta at v.  The loop's one :class:`SweepRows`
+    serves every sweep and dual kernel.  A step tries
     w = v + (I - beta Q)^-1 (Tv - v) and keeps it if
     ||Tw - w|| <= beta ||Tv - v||, the most a plain sweep can leave;
     otherwise it takes Tv and counts as safeguarded.  Tw is the next
@@ -343,10 +342,10 @@ def _newton(m, spec, sweep, tol):
     """
     _check_tol(tol)
     beta = m.discount
-    memo, rows = _SortedRows(), SweepRows(m)
+    rows = SweepRows(m)
 
     def visit(v):
-        tv, idx, eta = sweep(v, memo, rows)
+        tv, idx, eta = sweep(v, rows)
         return v, tv, idx, eta, float(abs(tv - v).max())
 
     v, tv, idx, eta, res = visit(np.zeros(m.n_states))
@@ -365,7 +364,7 @@ def _newton(m, spec, sweep, tol):
             raise IterationLimitError("policy iteration did not converge", res, steps)
         last = res <= stop
         steps += 1
-        dual = _dual_kernel(m, spec, v, idx, eta, memo)
+        dual = _dual_kernel(m, spec, v, idx, eta, rows)
         trial = visit(v + np.linalg.solve(np.eye(m.n_states) - beta * dual, tv - v))
         if trial[-1] <= beta * res:  # NaN fails
             v, tv, idx, eta, res = trial
@@ -374,17 +373,17 @@ def _newton(m, spec, sweep, tol):
             v, tv, idx, eta, res = visit(tv)
     if beta == 0.0:
         return tv, idx, 0, 0.0, 0.0, 0
-    residual = float(abs(sweep(tv, memo, rows)[0] - tv).max())
+    residual = float(abs(sweep(tv, rows)[0] - tv).max())
     return tv, idx, steps, residual, beta * res / (1.0 - beta), safeguarded
 
 
-def _greedy_sweep(m, spec, v, memo=None, rows=None):
+def _greedy_sweep(m, spec, v, rows=None):
     """Lv, its argmax actions and their eta*: the sweep of value iteration
     and of policy iteration.  Inadmissible rows read 0 before the greedy
     step masks them, as in :func:`successor_risk`."""
     rows = SweepRows(m) if rows is None else rows
-    risk, eta = _successor_layer(m, spec, v, None, memo)
-    lv, idx = _greedy(m, rows.reward + rows.beta * _zero_inadmissible(risk, rows), rows)
+    risk, eta = _successor_layer(m, spec, v, None, rows)
+    lv, idx = _greedy(m, m.reward + m.discount * _zero_inadmissible(risk, rows), rows)
     return lv, idx, eta[rows.states, idx]
 
 
@@ -399,7 +398,7 @@ def policy_iteration_recursive(m, spec, tol=1e-9):
     """
     m.require_valid()
     v, idx, steps, residual, bound, safeguarded = _newton(
-        m, spec, lambda v, memo, rows: _greedy_sweep(m, spec, v, memo, rows), tol)
+        m, spec, lambda v, rows: _greedy_sweep(m, spec, v, rows), tol)
     return SolveReport(
         criterion="recursive_oce",
         value=value_dict(m, v),
@@ -424,12 +423,12 @@ def entropic_fast_path(m, gamma, tol=1e-9):
     return rep
 
 
-def _policy_sweep(m, spec, idx, v, memo=None, rows=None):
+def _policy_sweep(m, spec, idx, v, rows=None):
     """L_f v for the action index per state ``idx``, with idx and the eta* of
     f's rows: the sweep of :func:`_newton` with f held fixed."""
     rows = SweepRows(m) if rows is None else rows
-    risk, eta = _successor_layer(m, spec, v, idx, memo)
-    return rows.reward[rows.states, idx] + rows.beta * risk, idx, eta
+    risk, eta = _successor_layer(m, spec, v, idx, rows)
+    return m.reward[rows.states, idx] + m.discount * risk, idx, eta
 
 
 def policy_evaluation_recursive(m, spec, policy, tol=1e-9):
@@ -437,8 +436,7 @@ def policy_evaluation_recursive(m, spec, policy, tol=1e-9):
     Newton loop of :func:`policy_iteration_recursive` with f held fixed."""
     m.require_valid()
     idx = policy.indices(m)
-    v = _newton(m, spec,
-                lambda v, memo, rows: _policy_sweep(m, spec, idx, v, memo, rows), tol)[0]
+    v = _newton(m, spec, lambda v, rows: _policy_sweep(m, spec, idx, v, rows), tol)[0]
     return value_dict(m, v)
 
 
@@ -447,7 +445,7 @@ def n_stage_value(m, spec, stage_policy, n_stages):
     operators applied to the zero function (stage N-1 innermost)."""
     m.require_valid()
     v = np.zeros(m.n_states)
-    memo, rows = _SortedRows(), SweepRows(m)
+    rows = SweepRows(m)
     for k in reversed(range(n_stages)):
-        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v, memo, rows)[0]
+        v = _policy_sweep(m, spec, stage_policy.rule_at(k).indices(m), v, rows)[0]
     return value_dict(m, v)

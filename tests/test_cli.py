@@ -245,6 +245,19 @@ class TestSolve:
                                   "--criterion", "risk_neutral", "--threads", "4"])
         assert out1 == out2
 
+    def test_bad_threads_environment_is_a_usage_error(self, capsys, monkeypatch, model_path):
+        # only the commands that take --threads parse RISKMDP_THREADS
+        solve = ["solve", "--model", model_path, "--criterion", "risk_neutral"]
+        monkeypatch.setenv("RISKMDP_THREADS", "abc")
+        assert run(capsys, ["validate", "--model", model_path])[:2] == (0, "ok\n")
+        assert run(capsys, ["fixtures", "list"])[0] == 0
+        code, out, err = run(capsys, solve)
+        assert (code, out) == (2, "")
+        assert "--threads" in err
+        assert run(capsys, [*solve, "--threads", "2"])[0] == 0
+        monkeypatch.setenv("RISKMDP_THREADS", "0")
+        assert run(capsys, solve)[:2] == (2, "")
+
     def test_criterion_config_json(self, capsys, model_path):
         cfg = json.dumps({"criterion": "recursive_oce",
                           "utility": {"type": "entropic", "gamma": 1.0}})

@@ -113,7 +113,7 @@ class TestNewtonSteps:
         m = cost_mdp(np.random.default_rng(11), n_states=6, n_actions=3)
         ref = ergodic_rvi(m, 1.0, tol=1e-12)
         monkeypatch.setattr(ergodic, "_tilted_kernel",
-                            lambda m, lw, idx: scale * np.eye(m.n_states))
+                            lambda m, lw, idx, rows: scale * np.eye(m.n_states))
         sweeps = []
         sweep = ergodic._log_min_sweep
         monkeypatch.setattr(ergodic, "_log_min_sweep",

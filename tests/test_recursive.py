@@ -706,6 +706,19 @@ class TestSweepRows:
             rep = solve_recursive(m, spec, tol=1e-10)
             assert len(calls) == rep.iterations + 1
 
+    def test_the_model_caches_nothing(self):
+        from riskmdp.augmented import entropic_total
+        from riskmdp.ergodic import ergodic_rvi
+
+        m = fixtures.invariant_model()
+        before = set(vars(m))
+        entropic_fast_path(m, 1.0)
+        entropic_total(m, 1.0)
+        ergodic_rvi(m, 1.0)
+        solve_recursive(m, UtilitySpec.cvar(0.2))
+        value_iteration(m)
+        assert set(vars(m)) == before
+
     @pytest.mark.parametrize("m", _sweep_rows_models(), ids=["jaquette", "full", "partial",
                                                                "beta0"])
     def test_a_new_reward_table_is_read(self, m):
