@@ -32,7 +32,10 @@ iteration on a copy of the model restricted to that policy's actions.
 Every sweep runs in log space (log W), so no gamma causes overflow.  One
 call of :func:`ergodic_rvi` sets itself up once, in one
 :class:`~riskmdp.recursive.SweepRows` that holds ln q for every sweep and
-tilted kernel of the call.
+tilted kernel of the call.  Each sweep (:func:`_log_min_sweep`) returns the
+entropic layer it was built from next to its values, and that layer is also
+its eta*: the tilted kernel of the greedy rows reads eta* there, so a Newton
+step evaluates one layer, the one of its trial's sweep.
 """
 
 from __future__ import annotations
@@ -92,19 +95,24 @@ _TILT = UtilitySpec.entropic(1.0)
 
 
 def _log_min_sweep(m, gamma, lw, rows):
-    """log of e^{gamma c(x,a)} sum_y q W for every (x, a), batched, to be
-    minimized over a; +inf at inadmissible.  ``rows`` is the solve's
+    """(vals, layer): vals is the log of e^{gamma c(x,a)} sum_y q W for every
+    (x, a), batched, to be minimized over a, +inf at inadmissible; layer is
+    the entropic successor layer -ln sum_y q e^{lw} it was built from, which
+    is also that layer's eta* (:func:`_tilted_kernel` reads it for the
+    greedy rows).  ``rows`` is the solve's
     :class:`~riskmdp.recursive.SweepRows`, which holds ln q."""
     with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
-        return np.where(m.admissible_mask,
-                        gamma * m.cost - _successor_layer(m, _TILT, -lw, None, rows)[0], np.inf)
+        layer = _successor_layer(m, _TILT, -lw, None, rows)[0]
+        return np.where(m.admissible_mask, gamma * m.cost - layer, np.inf), layer
 
 
-def _tilted_kernel(m, lw, idx, rows):
+def _tilted_kernel(m, lw, idx, eta, rows):
     """Q(x, y) = q(y|x,a) e^{lw(y)} / sum_y q e^{lw} over the kernel rows
     (x, idx[x]): the gradient of the log sweep at lw, the
-    :func:`~riskmdp.recursive._dual_kernel` of the tilt.  Each row sums to 1."""
-    eta = _successor_layer(m, _TILT, -lw, idx, rows)[1]
+    :func:`~riskmdp.recursive._dual_kernel` of the tilt.  ``eta`` is the
+    layer's eta* on those rows, read from the layer of the
+    :func:`_log_min_sweep` at the same lw, so no layer is evaluated here.
+    Each row sums to 1."""
     return _dual_kernel(m, _TILT, -lw, idx, eta, rows)
 
 
@@ -114,11 +122,15 @@ def _residual(vals, lrho, lw):
         return float(np.max(np.abs(np.expm1(vals.min(axis=1) - lrho - lw))))
 
 
-def _newton_trial(m, gamma, z, lw, vals, rows):
-    """(lw + delta, l, its sweep, its residual) from one solve of
+def _newton_trial(m, gamma, z, lw, vals, layer, rows):
+    """(lw + delta, l, its sweep, its layer, its residual) from one solve of
     (I - Q) delta + l 1 = T(lw) - lw with delta(z) = 0, Q the tilted kernel
-    of the greedy rows; None for a singular system or a non-finite trial."""
-    a = np.eye(m.n_states) - _tilted_kernel(m, lw, np.argmin(vals, axis=1), rows)
+    of the greedy rows; None for a singular system or a non-finite trial.
+    ``vals`` and ``layer`` are the :func:`_log_min_sweep` at lw: the greedy
+    rows are the argmin of vals, and their eta* is read from layer, so a
+    Newton step evaluates one entropic layer, the trial's sweep."""
+    idx = np.argmin(vals, axis=1)
+    a = np.eye(m.n_states) - _tilted_kernel(m, lw, idx, layer[rows.states, idx], rows)
     a[:, z] = 1.0  # delta(z) = 0 frees column z for l
     with np.errstate(invalid="ignore", over="ignore"):
         try:
@@ -130,8 +142,8 @@ def _newton_trial(m, gamma, z, lw, vals, rows):
         trial = lw + step
     if not (np.isfinite(lrho) and np.all(np.isfinite(trial))):
         return None
-    tvals = _log_min_sweep(m, gamma, trial, rows)
-    return trial, lrho, tvals, _residual(tvals, lrho, trial)
+    tvals, tlayer = _log_min_sweep(m, gamma, trial, rows)
+    return trial, lrho, tvals, tlayer, _residual(tvals, lrho, trial)
 
 
 def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
@@ -174,13 +186,13 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
     lw = anchor = np.zeros(m.n_states)
     # the sweep at the new lw gives both this iteration's residual and the
     # next iteration's update
-    vals = _log_min_sweep(m, gamma, lw, rows)
+    vals, layer = _log_min_sweep(m, gamma, lw, rows)
     residual = np.inf
     safeguarded = 0
     for it in range(1, MAX_ITERS + 1):
-        trial = _newton_trial(m, gamma, z, lw, vals, rows)
-        if trial is not None and trial[3] <= residual:  # a NaN residual fails
-            lw, lrho, vals, residual = trial
+        trial = _newton_trial(m, gamma, z, lw, vals, layer, rows)
+        if trial is not None and trial[4] <= residual:  # a NaN residual fails
+            lw, lrho, vals, layer, residual = trial
         else:
             safeguarded += 1
             ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + vals.min(axis=1))
@@ -191,7 +203,7 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
                     "ergodic RVI produced a non-finite iterate", np.nan, it)
             # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
             lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
-            vals = _log_min_sweep(m, gamma, lw, rows)
+            vals, layer = _log_min_sweep(m, gamma, lw, rows)
             residual = _residual(vals, lrho, lw)
         done, anchor = _rvi_stop("ergodic RVI", it, lw, anchor, residual, tol)
         if done:

@@ -499,23 +499,30 @@ def reducible_policy(m):
     whose admissible actions all reach the set in one step.  Its complement
     is the largest set that some policy keeps closed while avoiding x, so
     every policy is irreducible exactly when each attractor is the whole
-    state space.  The S attractors grow together, one (S, S) @ (S, S*A)
-    product per round, for at most S rounds.  The witness picks, inside the
+    state space.  The S attractors grow together.  Each starts as its own
+    state, so the first round's one-step reach is the support itself; each
+    later round costs one (S, S) @ (S, S*A) product, for at most S rounds,
+    and the rounds stop as soon as every attractor is the whole state space
+    (at once on a dense model) or none grows.  The witness picks, inside the
     complement of the first short attractor, the first admissible action
     whose support stays there, and the first admissible action elsewhere.
     """
     S, A = m.n_states, m.n_actions
     support = m.kernel > 0.0
-    # step[z, y*A + a]: action a at y reaches z; counts stay exact in float32
-    step = support.reshape(S * A, S).T.astype(np.float32)
+    # reach[z, y*A + a]: action a at y reaches z, from the support in the
+    # first round (the identity times step is step)
+    reach = support.reshape(S * A, S).T
+    step = reach.astype(np.float32)  # counts stay exact in float32
     inadmissible = ~m.admissible_mask.ravel()
     attr = np.eye(S, dtype=bool)
     while True:
-        reaches = (attr.astype(np.float32) @ step > 0.0) | inadmissible
-        grown = attr | reaches.reshape(S, S, A).all(axis=2)
+        grown = attr | (reach | inadmissible).reshape(S, S, A).all(axis=2)
         if np.array_equal(grown, attr):
             break
         attr = grown
+        if attr.all():
+            break
+        reach = attr.astype(np.float32) @ step > 0.0
     short = np.flatnonzero(~attr.all(axis=1))
     if short.size == 0:
         return None

@@ -535,14 +535,19 @@ def logsumexp(a, axis=None):
     ln sum exp(a) = a_max + ln m + log1p(rest / m) with rest = sum of the
     others' exp(a - a_max) (Blanchard, Higham & Higham, IMA J. Numer. Anal.
     2021).  Close to a single dominant term, log1p keeps the digits that
-    ln(m + rest) loses.  An all -inf slice gives -inf.
+    ln(m + rest) loses.  An all -inf slice gives -inf.  a - a_max is
+    exponentiated in place in one fresh array (shaped and laid out like a,
+    so 0-d input works too), and the m top terms are then set to 0.
     """
     a = np.asarray(a, dtype=float)
     a_max = np.max(a, axis=axis, keepdims=True)
     top = a == a_max
     m = np.count_nonzero(top, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
-    rest = np.sum(np.exp(np.where(top, -np.inf, a - shift)), axis=axis, keepdims=True)
+    terms = np.subtract(a, shift, out=np.empty_like(a))
+    np.exp(terms, out=terms)
+    np.putmask(terms, top, 0.0)
+    rest = np.sum(terms, axis=axis, keepdims=True)
     return np.squeeze(np.log1p(rest / m) + np.log(m) + a_max, axis=axis)[()]
 
 

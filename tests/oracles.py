@@ -270,3 +270,16 @@ def validate_loop(m, for_discounted=True):
     if for_discounted and not (0.0 <= m.discount < 1.0):
         out.append(f"discount: must lie in [0, 1), got {m.discount!r}")
     return out
+
+
+def logsumexp_where(a, axis=None):
+    """The earlier form of :func:`riskmdp.oce.logsumexp`: the top terms are
+    replaced by -inf in a - shift before the exponential.  The same
+    operations on the same values, so the two must agree bit for bit."""
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.count_nonzero(top, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    rest = np.sum(np.exp(np.where(top, -np.inf, a - shift)), axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(rest / m) + np.log(m) + a_max, axis=axis)[()]

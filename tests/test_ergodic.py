@@ -113,7 +113,7 @@ class TestNewtonSteps:
         m = cost_mdp(np.random.default_rng(11), n_states=6, n_actions=3)
         ref = ergodic_rvi(m, 1.0, tol=1e-12)
         monkeypatch.setattr(ergodic, "_tilted_kernel",
-                            lambda m, lw, idx, rows: scale * np.eye(m.n_states))
+                            lambda m, lw, idx, eta, rows: scale * np.eye(m.n_states))
         sweeps = []
         sweep = ergodic._log_min_sweep
         monkeypatch.setattr(ergodic, "_log_min_sweep",
@@ -123,6 +123,33 @@ class TestNewtonSteps:
         assert len(sweeps) == sol.iterations + 1 + swept * sol.safeguarded
         assert sol.xi == pytest.approx(ref.xi, abs=1e-11)
         assert sol.policy.choice == ref.policy.choice
+
+    # a Newton step evaluates one entropic layer, its trial's sweep: the
+    # tilted kernel reads eta* of the greedy rows from the layer of the sweep
+    # at the same lw, so every layer call is a sweep's
+    @pytest.mark.parametrize("case", ["dense", "cost_mdp", "ring", "stand_in"])
+    def test_one_layer_per_sweep(self, monkeypatch, case):
+        gamma = 1.0
+        if case == "dense":
+            m = random_mdp(np.random.default_rng(3), n_states=30, n_actions=4, beta=0.95,
+                           with_costs=True)
+        elif case == "ring":  # refuses some Newton steps at this gamma
+            m, gamma = ring_mdp(np.random.default_rng(1)), 50.0
+        else:
+            m = cost_mdp(np.random.default_rng(11), n_states=6, n_actions=3)
+        if case == "stand_in":  # the refused trials are swept
+            monkeypatch.setattr(ergodic, "_tilted_kernel",
+                                lambda m, lw, idx, eta, rows: 2.0 * np.eye(m.n_states))
+        calls = {"_successor_layer": 0, "_log_min_sweep": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(ergodic, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ergodic, name, counted)
+        sol = ergodic_rvi(m, gamma, tol=1e-10)
+        assert sol.iterations > 1
+        assert (sol.safeguarded > 0) == (case in ("ring", "stand_in"))
+        assert calls["_successor_layer"] == calls["_log_min_sweep"] > sol.iterations
 
     def test_singular_solve_falls_back_to_damped_steps(self, monkeypatch):
         m = cost_mdp(np.random.default_rng(12), n_states=6, n_actions=3)

@@ -19,7 +19,7 @@ from riskmdp.oce import (
     oce_generic,
 )
 
-from oracles import cvar_inf_formula, oce_grid
+from oracles import cvar_inf_formula, logsumexp_where, oce_grid
 
 # frozen expected values, each computed from the closed form and confirmed
 # against the dense eta-grid oracle below
@@ -399,6 +399,38 @@ class TestLogSumExp:
         with np.errstate(invalid="ignore"):  # -inf - -inf where both are -inf
             close = np.abs(got - ref) <= 2 * np.spacing(np.abs(ref))
         assert np.all((got == ref) | close)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lse_arrays(), st.sampled_from([None, -1, 2]))
+    def test_keeps_the_bits_of_the_where_form(self, a, axis):
+        got = logsumexp(a, axis=axis)
+        want = logsumexp_where(a, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("row", [
+        [-math.inf, -math.inf, -math.inf],
+        [math.inf, 0.0, -math.inf],
+        [1.0, math.nan, 2.0],
+        [2.0, -1.0, 2.0, 2.0],
+        [-3.0, -3.0],
+    ])
+    @pytest.mark.parametrize("axis", [None, -1, 2])
+    def test_special_rows_keep_their_bits(self, row, axis):
+        # the special row next to an ordinary one, as the last axis of a 3-d
+        # array, and in a Fortran-ordered copy
+        a = np.array([[row, np.linspace(-1.0, 1.0, len(row)).tolist()]])
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN: no top term
+            for x in (a, np.asfortranarray(a)):
+                got, want = logsumexp(x, axis=axis), logsumexp_where(x, axis=axis)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("x", [3.0, np.float64(3.0), np.array(3.0), -math.inf])
+    def test_zero_d_input(self, x):
+        got = logsumexp(x)
+        assert np.ndim(got) == 0 and got == logsumexp_where(x)
+        assert got == x
 
     def test_small_tail_kept_by_log1p(self):
         # ln(1 + e^-40) rounds to 0; acceptance criterion 07 (gamma = 1e-6)
