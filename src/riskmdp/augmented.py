@@ -179,13 +179,12 @@ def _check_grid(m, grid):
     +-d/(1-beta) up to the 1e-9 step that :func:`default_grid`'s ceil allows
     (and a few ulps of the rounding of its last point): a grid built for
     another discount or smaller rewards would read the clamped top of the
-    table and still pass the bound check.
+    table and still pass the bound check.  Both callers have run
+    ``m.require_valid()``, which holds beta in [0, 1).
     """
     beta = m.discount
     if grid.beta != beta:
         raise ParameterError(f"grid built for beta = {grid.beta}, the model's discount is {beta}")
-    if not (0.0 <= beta < 1.0):
-        raise ParameterError(f"total-reward criterion needs beta in [0, 1), got {beta}")
     top = m.reward_bound / (1.0 - beta)
     slack = 1e-9 * grid.y_step + 4.0 * math.ulp(top)
     lo, hi = float(grid.y[0]), float(grid.y[-1])
@@ -480,7 +479,7 @@ def _realize_stage_policy(m, grid, argmax, x0_idx, eta_star):
     the first admissible action (the exact history-dependent decision is
     always available through :func:`reconstruct_policy_action`).
     """
-    first = [(s, m.admissible[s][0]) for s in m.states]
+    first = first_admissible_policy(m)
     rewards = m.reward.tolist()
     successors = {}  # (state, action) -> [(successor, probability)], built once
     rules = []
@@ -504,11 +503,11 @@ def _realize_stage_policy(m, grid, argmax, x0_idx, eta_star):
                 cand = p * q
                 if xi not in nxt or cand > nxt[xi][0] + 1e-15:
                     nxt[xi] = (cand, y2)
-        for s, a in first:
+        for s, a in first.choice.items():
             choice.setdefault(s, a)
         rules.append(StationaryPolicy(choice))
         current = nxt
-    tail = rules[-1] if rules else first_admissible_policy(m)
+    tail = rules[-1] if rules else first
     return StagePolicy(stages=tuple(rules), tail=tail)
 
 
@@ -598,7 +597,6 @@ class EntropicTotalSolution:
     model: object
     gamma: float
     values: np.ndarray     # (level, state): V(x, beta^n)
-    level_argmax: np.ndarray
     stage_policy: StagePolicy
     n_trunc: int
     tail_error: float
@@ -642,19 +640,19 @@ def entropic_total(m, gamma, tail_eps=1e-8):
     d = m.reward_bound
     n_trunc = _truncation_depth(beta, d, tail_eps)
     values = np.zeros((n_trunc + 1, m.n_states))
-    level_argmax = np.zeros((n_trunc + 1, m.n_states), dtype=np.int16)
+    rules = []
     rows = SweepRows(m)
     for n in range(n_trunc, -1, -1):
         q = beta ** n * m.reward
         if n < n_trunc:  # the deepest level's continuation is exactly zero
             q = q + successor_risk(m, spec, values[n + 1], rows)
-        values[n], level_argmax[n] = _greedy(m, q, rows)
-
-    rules = tuple(StationaryPolicy.from_indices(m, level_argmax[n]) for n in range(n_trunc))
-    tail = rules[-1] if rules else first_admissible_policy(m)
-    tail_error = _tail_error(beta, d, n_trunc)
+        values[n], idx = _greedy(m, q, rows)
+        if n < n_trunc:  # the stage rules are those of levels 0..n_trunc-1
+            rules.append(StationaryPolicy.from_indices(m, idx))
+    # n_trunc >= 1, so there is a last stage rule for the tail to repeat
+    rules = tuple(reversed(rules))
     return EntropicTotalSolution(
-        model=m, gamma=gamma, values=values, level_argmax=level_argmax,
-        stage_policy=StagePolicy(stages=rules, tail=tail),
-        n_trunc=n_trunc, tail_error=tail_error,
+        model=m, gamma=gamma, values=values,
+        stage_policy=StagePolicy(stages=rules, tail=rules[-1]),
+        n_trunc=n_trunc, tail_error=_tail_error(beta, d, n_trunc),
     )

@@ -164,15 +164,11 @@ def cmd_solve(args):
 
 def cmd_compare(args):
     m = load(args.model)
-    names = []
-    for chunk in args.criteria:
-        names.extend(c.strip() for c in chunk.split(",") if c.strip())
-    seen = []
-    for c in names:
+    names = dict.fromkeys(c.strip() for chunk in args.criteria for c in chunk.split(","))
+    seen = [c for c in names if c]
+    for c in seen:
         if c not in CRITERIA:
             raise ParameterError(f"unknown criterion {c!r}; choose from {CRITERIA}")
-        if c not in seen:
-            seen.append(c)
     if not seen:
         print("compare: needs at least one criterion", file=sys.stderr)
         return 2
@@ -326,6 +322,16 @@ def build_parser():
     return ap
 
 
+# the exit code of an error, by the first row whose kinds it is one of
+_EXIT_CODES = (
+    ((FileNotFoundError, ModelFormatError), 2),
+    (ModelValidationError, 1),
+    (IterationLimitError, 3),
+    ((ParameterError, UnsupportedUtilityError, ChainStructureError, PolicyError), 4),
+    (RiskMdpError, 1),
+)
+
+
 def main(argv=None):
     ap = build_parser()
     try:
@@ -337,24 +343,9 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, RiskMdpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IterationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParameterError, UnsupportedUtilityError, ChainStructureError, PolicyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except RiskMdpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

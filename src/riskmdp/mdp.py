@@ -172,14 +172,6 @@ class FiniteMdp:
             return 0.0
         return float(self.reward[self.admissible_mask].max())
 
-    def admissible_pairs(self):
-        """(state_index, action_index) pairs in declared order."""
-        out = []
-        for si, s in enumerate(self.states):
-            for a in self.admissible[s]:
-                out.append((si, self.action_index[a]))
-        return out
-
     # -- validation ---------------------------------------------------------
 
     def validate(self, for_discounted=True):
@@ -249,36 +241,37 @@ class FiniteMdp:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        """Canonical dict form: declared-order keys, zero probabilities dropped."""
-        trans = {}
-        rew = {}
-        cost = {} if self.cost is not None else None
-        for si, s in enumerate(self.states):
-            trans[s] = {}
-            rew[s] = {}
-            if cost is not None:
-                cost[s] = {}
+        """Canonical dict form: declared-order keys, zero probabilities dropped.
+
+        Each admissible kernel row is read once, at its nonzero entries
+        (``np.flatnonzero``; a NaN entry is nonzero and kept); the rewards
+        and costs are written by :meth:`_pair_dict`.
+        """
+        states = self.states
+        trans = {s: {} for s in states}
+        for si, s in enumerate(states):
             for a in self.admissible[s]:
-                ai = self.action_index[a]
-                trans[s][a] = {
-                    y: float(self.kernel[si, ai, yi])
-                    for yi, y in enumerate(self.states)
-                    if self.kernel[si, ai, yi] != 0.0
-                }
-                rew[s][a] = float(self.reward[si, ai])
-                if cost is not None:
-                    cost[s][a] = float(self.cost[si, ai])
+                row = self.kernel[si, self.action_index[a]]
+                support = np.flatnonzero(row)
+                trans[s][a] = dict(zip([states[y] for y in support.tolist()],
+                                       row[support].tolist()))
         out = {
-            "states": list(self.states),
+            "states": list(states),
             "actions": list(self.actions),
-            "admissible": {s: list(self.admissible[s]) for s in self.states},
+            "admissible": {s: list(self.admissible[s]) for s in states},
             "transitions": trans,
-            "rewards": rew,
+            "rewards": self._pair_dict(self.reward),
             "discount": self.discount,
         }
-        if cost is not None:
-            out["costs"] = cost
+        if self.cost is not None:
+            out["costs"] = self._pair_dict(self.cost)
         return out
+
+    def _pair_dict(self, table):
+        """{state: {admissible action: entry}} of an (S, A) table, in declared order."""
+        rows = table.tolist()
+        return {s: {a: rows[si][self.action_index[a]] for a in self.admissible[s]}
+                for si, s in enumerate(self.states)}
 
     @classmethod
     def from_dict(cls, obj):

@@ -21,7 +21,9 @@ damped operators are only nonexpansive in the span seminorm, so no
 contraction modulus gives a tighter budget.
 
 Ties are always broken by the first admissible action in declared order
-(:func:`~riskmdp.recursive._greedy`, the greedy step of every solver).
+(:func:`~riskmdp.recursive._greedy`, the greedy step of the discounted
+solvers; the average-criterion iteration takes the first argmax or argmin of
+a table that reads -inf or +inf at inadmissible pairs).
 Value iteration and policy iteration set their sweeps up once per solve
 (:class:`~riskmdp.recursive.SweepRows`) and hand it to every sweep.
 """
@@ -110,7 +112,9 @@ def policy_iteration(m):
 
     Improvement keeps the incumbent action unless a competitor is better by
     more than 1e-12; evaluating ties through float noise would otherwise
-    cycle between equally optimal policies.
+    cycle between equally optimal policies.  The improvement step's greedy
+    table is the Bellman sweep of the policy's value, Tv, so the residual
+    ||Tv - v|| of the last round is read from it with no further sweep.
     """
     m.require_valid()
     rows = SweepRows(m)
@@ -122,7 +126,7 @@ def policy_iteration(m):
         top, best = _greedy(m, q, rows)
         improved = np.where(top <= q[states, idx] + _TIE_TOL, idx, best)
         if np.array_equal(improved, idx):
-            residual = float(abs(bellman_T(m, v, rows)[0] - v).max())
+            residual = float(abs(top - v).max())
             return SolveReport(
                 criterion="risk_neutral",
                 value=value_dict(m, v),
@@ -181,7 +185,8 @@ def q_learning(m, n_updates, omega=0.8, seed=0, reference=None):
     from bisect import bisect_right
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pairs = m.admissible_pairs()
+    sis, ais = np.nonzero(m.admissible_mask)  # the admissible pairs in declared order
+    pairs = list(zip(sis.tolist(), ais.tolist()))
     beta = m.discount
     cum_rows = {(si, ai): np.cumsum(m.kernel[si, ai]).tolist() for si, ai in pairs}
     rewards = {(si, ai): float(m.reward[si, ai]) for si, ai in pairs}

@@ -186,24 +186,17 @@ class UtilitySpec:
     def _slopes_at_zero(self):
         """Segment slopes immediately left and right of t = 0.
 
-        The function extends past the first/last breakpoint with the end
-        slopes, so positions outside the breakpoint range use those.
+        The segment left of 0 ends at the first breakpoint >= 0, the one
+        right of 0 at the first breakpoint > 0 (``np.searchsorted``, sides
+        left and right).  The function extends past the first/last breakpoint
+        with the end slopes, so the segment index is clamped to the segments.
         """
         ts = np.array([t for t, _ in self.points])
         us = np.array([v for _, v in self.points])
         slopes = np.diff(us) / np.diff(ts)
-        if 0.0 <= ts[0]:
-            left = slopes[0]
-        elif 0.0 > ts[-1]:
-            left = slopes[-1]
-        else:  # ts[j] < 0 <= ts[j+1]
-            left = slopes[np.searchsorted(ts, 0.0, side="left") - 1]
-        if 0.0 >= ts[-1]:
-            right = slopes[-1]
-        elif 0.0 < ts[0]:
-            right = slopes[0]
-        else:  # ts[j] <= 0 < ts[j+1]
-            right = slopes[np.searchsorted(ts, 0.0, side="right") - 1]
+        last = slopes.size - 1
+        left = slopes[np.clip(np.searchsorted(ts, 0.0, side="left") - 1, 0, last)]
+        right = slopes[np.clip(np.searchsorted(ts, 0.0, side="right") - 1, 0, last)]
         return float(left), float(right)
 
     def u(self, t):

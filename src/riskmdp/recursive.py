@@ -29,10 +29,11 @@ key changes, which in a value iteration happens a few times in all, and a
 sweep from them gives the same bits as one that rebuilds them.  Nothing is
 kept on the model.  The sweeps still go through their module names
 (:func:`recursive_bellman_L`, :func:`~riskmdp.neutral.bellman_T`), so a
-wrapper put there sees each one.  Every solver takes its greedy step, the
-masked max and first argmax of an (S, A) action-value table, from
-:func:`_greedy`, and its stopping tolerance through :func:`_check_tol`: one
-<= 0 or not finite is refused.
+wrapper put there sees each one.  Every discounted solver and the entropic
+total recursion take their greedy step, the masked max and first argmax of
+an (S, A) action-value table, from :func:`_greedy`, and every solver takes
+its stopping tolerance through :func:`_check_tol`: one <= 0 or not finite is
+refused.
 
 The solver, :func:`policy_iteration_recursive`, is Newton's method on the
 same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
@@ -97,18 +98,17 @@ def _check_gamma_range(m, gamma):
 
 
 def push_forward(m, state_idx, action_idx, v):
-    """Law of v(X') under q(.|state, action), equal values merged.
+    """Law of v(X') under q(.|state, action), equal values merged
+    (:meth:`~riskmdp.oce.DiscreteDistribution.merged`).
 
     Merging is exact because the certainty equivalent is law-invariant, and it
-    keeps the eta search on as few atoms as possible.
+    keeps the eta search on as few atoms as possible.  The row is taken as
+    given: a validated kernel holds it to a mass of 1 within 1e-12, as
+    :class:`~riskmdp.oce.DiscreteDistribution` requires.
     """
     row = m.kernel[state_idx, action_idx]
     support = row > 0.0
-    vals = np.asarray(v, dtype=float)[support]
-    mass = row[support]
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    merged = np.bincount(inverse, weights=mass, minlength=uniq.size)
-    return DiscreteDistribution(uniq, merged / merged.sum())
+    return DiscreteDistribution(np.asarray(v, dtype=float)[support], row[support]).merged()
 
 
 def _rows_key(idx, order):
@@ -233,8 +233,9 @@ class SweepRows:
 def _greedy(m, q, rows=None):
     """max_a q(x, a) per state and the first maximizing action index in
     declared order, over an (S, A) action-value table; inadmissible actions
-    are masked out.  The one greedy step of every solver; ``rows`` is the
-    solve's :class:`SweepRows` (built here when not given)."""
+    are masked out.  The greedy step of the discounted solvers and the
+    entropic total recursion; ``rows`` is the solve's :class:`SweepRows`
+    (built here when not given)."""
     rows = SweepRows(m) if rows is None else rows
     if rows.inadmissible is not None:
         q = np.where(rows.inadmissible, -np.inf, q)

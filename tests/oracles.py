@@ -283,3 +283,57 @@ def logsumexp_where(a, axis=None):
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
     rest = np.sum(np.exp(np.where(top, -np.inf, a - shift)), axis=axis, keepdims=True)
     return np.squeeze(np.log1p(rest / m) + np.log(m) + a_max, axis=axis)[()]
+
+
+def slopes_at_zero_ladder(points):
+    """The segment slopes immediately left and right of t = 0 of a
+    piecewise-linear utility, by cases: past either end of the breakpoints
+    the end slope applies, and inside them the segment that holds 0 on its
+    left (right) side.  The form :meth:`~riskmdp.oce.UtilitySpec._slopes_at_zero`
+    must agree with bit for bit."""
+    ts = np.array([t for t, _ in points])
+    us = np.array([v for _, v in points])
+    slopes = np.diff(us) / np.diff(ts)
+    if 0.0 <= ts[0]:
+        left = slopes[0]
+    elif 0.0 > ts[-1]:
+        left = slopes[-1]
+    else:  # ts[j] < 0 <= ts[j+1]
+        left = slopes[np.searchsorted(ts, 0.0, side="left") - 1]
+    if 0.0 >= ts[-1]:
+        right = slopes[-1]
+    elif 0.0 < ts[0]:
+        right = slopes[0]
+    else:  # ts[j] <= 0 < ts[j+1]
+        right = slopes[np.searchsorted(ts, 0.0, side="right") - 1]
+    return float(left), float(right)
+
+
+def to_dict_loop(m):
+    """The canonical dict of a model, one kernel entry at a time: declared
+    order, every entry != 0 of an admissible row kept.  The dict
+    :meth:`~riskmdp.mdp.FiniteMdp.to_dict` must return, key order included."""
+    trans, rew = {}, {}
+    cost = {} if m.cost is not None else None
+    for si, s in enumerate(m.states):
+        trans[s], rew[s] = {}, {}
+        if cost is not None:
+            cost[s] = {}
+        for a in m.admissible[s]:
+            ai = m.action_index[a]
+            trans[s][a] = {y: float(m.kernel[si, ai, yi])
+                           for yi, y in enumerate(m.states) if m.kernel[si, ai, yi] != 0.0}
+            rew[s][a] = float(m.reward[si, ai])
+            if cost is not None:
+                cost[s][a] = float(m.cost[si, ai])
+    out = {
+        "states": list(m.states),
+        "actions": list(m.actions),
+        "admissible": {s: list(m.admissible[s]) for s in m.states},
+        "transitions": trans,
+        "rewards": rew,
+        "discount": m.discount,
+    }
+    if cost is not None:
+        out["costs"] = cost
+    return out

@@ -20,6 +20,7 @@ from riskmdp.errors import ParameterError
 from riskmdp.mdp import FiniteMdp
 from riskmdp.neutral import value_iteration
 from riskmdp.oce import UtilitySpec
+from riskmdp.simulate import estimate, rollout
 
 from conftest import random_mdp
 from oracles import augmented_level_loop, jaquette_mgf_value, jaquette_switch_threshold
@@ -615,3 +616,68 @@ class TestReportLayout:
         for rep in (value_iteration(jaquette), total):
             rep.extras.pop("stage_policy", None)
             assert rep.to_json() == json.dumps(rep.to_dict(), indent=2) + "\n"
+
+
+def history_hook(sol):
+    """The exact history-dependent policy of a grid solve, as a rollout hook.
+
+    A rollout hands the hook one growing list of past pairs per replication,
+    so the hook carries the accumulated y forward: at stage n it adds
+    beta^(n-1) r of the last pair, the term :func:`reconstruct_policy_action`
+    adds last, and reads the argmax at (n, x, y).  Stage 0 starts a new
+    replication at y = -eta*.
+    """
+    m, grid = sol.model, sol.grid
+    acc = {"y": 0.0}
+
+    def hook(past, s):
+        n = len(past)
+        if n == 0:
+            acc["y"] = -sol.eta_star
+        else:
+            ps, pa = past[-1]
+            acc["y"] += (m.discount ** (n - 1)) * m.reward[m.state_index[ps], m.action_index[pa]]
+        return m.actions[int(sol.argmax[n, m.state_index[s], grid.y_index(acc["y"])[0]])]
+
+    return hook
+
+
+# None: jaquette; an integer: the seed of a random_mdp(., 4, 2, beta=0.5)
+MC_SEEDS = [None, 0, 1, 2]
+
+
+class TestMonteCarloTotalOce:
+    """Grid total-OCE values against seeded rollouts of the policy they
+    describe.  The tolerance is the solve's own error budget, tail plus
+    interpolation estimate, plus four standard errors of the estimate."""
+
+    @staticmethod
+    def solve(seed):
+        m = (fixtures.jaquette() if seed is None
+             else random_mdp(np.random.default_rng(seed), 4, 2, beta=0.5))
+        return solve_total_oce(m, UtilitySpec.cvar(0.2), estimate_interp_error=True)
+
+    @pytest.mark.parametrize("seed", MC_SEEDS)
+    def test_hook_agrees_with_reconstruction(self, seed):
+        sol = self.solve(seed)
+        m = sol.model
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            hook = history_hook(sol)
+            past, s = [], m.states[0]
+            for _ in range(sol.grid.n_trunc):
+                act = hook(past, s)
+                assert act == reconstruct_policy_action(sol, list(past), s).action
+                past.append((s, act))
+                row = m.kernel[m.state_index[s], m.action_index[act]]
+                s = m.states[int(rng.choice(m.n_states, p=row / row.sum()))]
+
+    @pytest.mark.parametrize("seed", MC_SEEDS)
+    def test_value_within_budget_of_rollouts(self, seed):
+        sol = self.solve(seed)
+        m = sol.model
+        batch = rollout(m, history_hook(sol), m.states[0], sol.grid.n_trunc, 7, 5000)
+        est = estimate(batch, "cvar", alpha=0.2)
+        # -CVaR of the sampled rewards is the OCE the solve reports
+        tol = sol.tail_error + sol.interp_error_estimate + 4.0 * est.std_error
+        assert abs(sol.value - (-est.point)) <= tol

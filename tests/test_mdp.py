@@ -24,7 +24,7 @@ from riskmdp.mdp import (
 )
 
 from conftest import random_mdp
-from oracles import bfs_reachability, validate_loop
+from oracles import bfs_reachability, to_dict_loop, validate_loop
 
 
 class TestValidate:
@@ -187,6 +187,28 @@ class TestIo:
         save(m, p2)
         save(load(p2), p3)
         assert p2.read_bytes() == p3.read_bytes()
+
+    def test_to_dict_text_matches_the_entry_loop(self):
+        # partial admissible sets, costs, zero entries (successors=2), a
+        # NaN, a -0.0 and a listed-twice action: the same text, key order
+        # included, as the loop over every kernel entry
+        rng = np.random.default_rng(23)
+        for k in range(16):
+            m = random_mdp(rng, n_states=int(rng.integers(1, 7)), n_actions=int(rng.integers(1, 4)),
+                           with_costs=k % 2 == 1, full_admissible=k % 3 == 0,
+                           successors=None if k % 4 else 2)
+            obj = m.to_dict()
+            s = m.states[-1]
+            a = obj["admissible"][s][0]
+            row = obj["transitions"][s][a]
+            keys = list(row)
+            row[keys[0]] = float("nan")
+            row[keys[-1]] = -0.0  # dropped, as a zero entry of either sign
+            obj["rewards"][s][a] = float("nan")
+            obj["admissible"][s].append(a)
+            for model in (m, FiniteMdp.from_dict(obj)):
+                assert (json.dumps(model.to_dict(), indent=2)
+                        == json.dumps(to_dict_loop(model), indent=2))
 
 
 class TestInducedChain:

@@ -114,6 +114,23 @@ class TestPolicyEvaluationIteration:
         assert rep.iterations <= 2
         assert rep.value["1"] == pytest.approx(V_F["1"], abs=1e-10)
 
+    def test_policy_iteration_takes_its_residual_from_the_improvement_step(
+            self, jaquette, monkeypatch):
+        # the improvement step's greedy table at the last policy's value v is
+        # T v itself, so no Bellman sweep runs, and the residual is that of
+        # one, bit for bit
+        from riskmdp import neutral
+        calls = []
+        monkeypatch.setattr(neutral, "bellman_T",
+                            lambda *args: calls.append(args) or bellman_T(*args))
+        models = [jaquette] + [random_mdp(np.random.default_rng(seed), n_states=6, n_actions=3,
+                                          beta=0.9, full_admissible=False) for seed in (5, 6)]
+        for m in models:
+            rep = policy_iteration(m)
+            v = np.array([rep.value[s] for s in m.states])
+            assert calls == []
+            assert rep.residual == float(abs(bellman_T(m, v)[0] - v).max())
+
     def test_three_solvers_and_enumeration_agree(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

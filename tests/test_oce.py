@@ -19,7 +19,7 @@ from riskmdp.oce import (
     oce_generic,
 )
 
-from oracles import cvar_inf_formula, logsumexp_where, oce_grid
+from oracles import cvar_inf_formula, logsumexp_where, oce_grid, slopes_at_zero_ladder
 
 # frozen expected values, each computed from the closed form and confirmed
 # against the dense eta-grid oracle below
@@ -89,6 +89,31 @@ class TestUtilitySpec:
         # both slopes below 1 violates u'_-(0) >= 1
         with pytest.raises(ParameterError):
             UtilitySpec.piecewise_linear([(-1.0, -0.5), (0.0, 0.0), (1.0, 0.25)])
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_slopes_at_zero_match_the_ladder(self, data):
+        # 0 before, after, on or between the breakpoints; the slopes need
+        # not be those of a valid utility to be read the same way
+        gaps = data.draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=5))
+        ts = np.concatenate(([0.0], np.cumsum(gaps)))
+        where = data.draw(st.sampled_from(["before", "after", "on", "between"]))
+        if where == "before":
+            ts = ts + data.draw(st.floats(1e-9, 10.0))
+        elif where == "after":
+            ts = ts - ts[-1] - data.draw(st.floats(1e-9, 10.0))
+        elif where == "on":
+            j = data.draw(st.integers(0, ts.size - 1))
+            ts = ts - ts[j]
+            if data.draw(st.booleans()):
+                ts[j] = -0.0
+        else:
+            j = data.draw(st.integers(0, ts.size - 2))
+            ts = ts - (ts[j] + data.draw(st.floats(0.01, 0.99)) * (ts[j + 1] - ts[j]))
+        us = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=ts.size, max_size=ts.size))
+        points = tuple(zip(ts.tolist(), us))
+        spec = UtilitySpec(kind="piecewise_linear", points=points)
+        assert spec._slopes_at_zero() == slopes_at_zero_ladder(points)
 
     def test_json_round_trip(self):
         for spec in (UtilitySpec.entropic(1.5), UtilitySpec.cvar(0.05),
