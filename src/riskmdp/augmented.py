@@ -213,7 +213,7 @@ class LevelRows:
         self.reward = m.reward[self.states, self.actions]
 
 
-def augmented_level(m, spec, grid, n, next_level, rows=None):
+def augmented_level(m, spec, grid, n, next_level, rows):
     """Level n of the extended-space Bellman operator: values and argmax.
 
     Level n reads only ``next_level``, the (state, y) table F of level n+1
@@ -229,17 +229,14 @@ def augmented_level(m, spec, grid, n, next_level, rows=None):
         sum_x' q(x'|x,a) interp(y + z r, F[x']) = interp(y + z r, sum_x' q(x'|x,a) F[x']),
 
     one kernel product for every admissible row and one interpolation per
-    row.  ``rows`` is the pass's :class:`LevelRows` (built here when not
-    given), so a pass gathers the admissible rows, their kernel rows and
-    rewards once, not once per level.  A -inf entry of F (u overflows at the
-    bottom of the grid) stays -inf in a row's mixture only where a successor
-    of positive probability holds it; a successor of probability 0 adds
-    nothing, as 0 * (-inf) = NaN would.  One reduction, the minimum of F,
-    decides whether that mask is needed.  Ties go to the first maximizing
-    action in declared order.
+    row.  ``rows`` is the pass's :class:`LevelRows`, so a pass gathers the
+    admissible rows, their kernel rows and rewards once, not once per level.
+    A -inf entry of F (u overflows at the bottom of the grid) stays -inf in
+    a row's mixture only where a successor of positive probability holds
+    it; a successor of probability 0 adds nothing, as 0 * (-inf) = NaN
+    would.  One reduction, the minimum of F, decides whether that mask is
+    needed.  Ties go to the first maximizing action in declared order.
     """
-    if rows is None:
-        rows = LevelRows(m)
     y = grid.y
     # the read points y + z r(x, a), one row per admissible (x, a)
     shifted = y + grid.z(n) * rows.reward[:, None]
@@ -646,7 +643,7 @@ def entropic_total(m, gamma, tail_eps=1e-8):
         q = beta ** n * m.reward
         if n < n_trunc:  # the deepest level's continuation is exactly zero
             q = q + successor_risk(m, spec, values[n + 1], rows)
-        values[n], idx = _greedy(m, q, rows)
+        values[n], idx = _greedy(q, rows)
         if n < n_trunc:  # the stage rules are those of levels 0..n_trunc-1
             rules.append(StationaryPolicy.from_indices(m, idx))
     # n_trunc >= 1, so there is a last stage rule for the tail to repeat

@@ -122,7 +122,8 @@ def _solve_one(m, criterion, args):
         budget = {} if tail_eps is None else {"tail_eps": tail_eps}
         if spec.kind == "entropic":
             return entropic_total(m, spec.gamma, **budget).report()
-        grid = default_grid(m, y_step=getattr(args, "y_step", None), **budget)
+        # validated first, so a bad discount exits 1 as in every other solve
+        grid = default_grid(m.require_valid(), y_step=getattr(args, "y_step", None), **budget)
         # compare's x0: the stage rules are realised from the initial state
         return solve_total_oce(m, spec, grid=grid, x0=getattr(args, "x0", None),
                                estimate_interp_error=True).report()

@@ -26,21 +26,27 @@ that fails (a singular system, a non-finite trial or a larger residual) is
 replaced by one step of relative value iteration damped with the self-loop
 mix lam = 1/2 (periodic chains otherwise cycle); the damping shifts the
 eigenvalue affinely, rho_damped = (1 - lam) + lam * rho, and keeps the
-eigenvector and the argmin, so the reported xi is undamped.  The value of a single policy is the same
-iteration on a copy of the model restricted to that policy's actions.
+eigenvector and the minimizing actions, so the reported xi is undamped.  The
+value of a single policy is the same iteration on a copy of the model
+restricted to that policy's actions.
 
 Every sweep runs in log space (log W), so no gamma causes overflow.  One
 call of :func:`ergodic_rvi` sets itself up once, in one
 :class:`~riskmdp.recursive.SweepRows` that holds ln q for every sweep and
-tilted kernel of the call.  Each sweep (:func:`_log_min_sweep`) returns the
-entropic layer it was built from next to its values, and that layer is also
-its eta*: the tilted kernel of the greedy rows reads eta* there, so a Newton
-step evaluates one layer, the one of its trial's sweep.
+tilted kernel of the call.  Each sweep (:func:`_log_min_sweep`) takes its
+minimum and minimizing actions from one greedy step,
+:func:`~riskmdp.recursive._greedy` on the negated table, the mask and tie
+rule of every discounted solver, and returns them with the entropic layer
+it was built from.  That layer is also its eta*: the tilted kernel of the
+greedy rows reads eta* there, so a Newton step evaluates one layer, the one
+of its trial's sweep.  The Newton step, the residual, the damped fallback
+and the final policy all read that one sweep and reduce no table again.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +66,7 @@ from .mdp import (
 )
 from .neutral import DAMPING, MAX_ITERS, _reference_index, _rvi_stop
 from .oce import UtilitySpec
-from .recursive import SweepRows, _check_tol, _dual_kernel, _successor_layer
+from .recursive import SweepRows, _check_tol, _dual_kernel, _greedy, _successor_layer
 from .report import SolveReport
 
 
@@ -95,15 +101,21 @@ _TILT = UtilitySpec.entropic(1.0)
 
 
 def _log_min_sweep(m, gamma, lw, rows):
-    """(vals, layer): vals is the log of e^{gamma c(x,a)} sum_y q W for every
-    (x, a), batched, to be minimized over a, +inf at inadmissible; layer is
-    the entropic successor layer -ln sum_y q e^{lw} it was built from, which
-    is also that layer's eta* (:func:`_tilted_kernel` reads it for the
-    greedy rows).  ``rows`` is the solve's
+    """(mins, idx, layer) of the log sweep at lw: mins[x] is the least, over
+    the admissible a, log of e^{gamma c(x,a)} sum_y q W, and idx[x] the
+    first such a in declared order; layer is the entropic successor layer
+    -ln sum_y q e^{lw} they were built from, which is also that layer's eta*
+    (:func:`_tilted_kernel` reads it for the greedy rows).  One
+    :func:`~riskmdp.recursive._greedy` step on the negated table
+    layer - gamma c gives both, negated back: negation maps the max and the
+    first maximizer onto the min and the first minimizer exactly, and
+    ``_greedy`` masks the inadmissible actions.  ``rows`` is the solve's
     :class:`~riskmdp.recursive.SweepRows`, which holds ln q."""
     with np.errstate(over="ignore"):  # an overflow is caught as a non-finite iterate
         layer = _successor_layer(m, _TILT, -lw, None, rows)[0]
-        return np.where(m.admissible_mask, gamma * m.cost - layer, np.inf), layer
+        top, idx = _greedy(layer - gamma * m.cost, rows)
+    # not -top: where gamma c equals the layer, gamma c - layer reads +0.0
+    return 0.0 - top, idx, layer
 
 
 def _tilted_kernel(m, lw, idx, eta, rows):
@@ -116,25 +128,26 @@ def _tilted_kernel(m, lw, idx, eta, rows):
     return _dual_kernel(m, _TILT, -lw, idx, eta, rows)
 
 
-def _residual(vals, lrho, lw):
+def _residual(mins, lrho, lw):
     """max_x |M W(x) / (rho W(x)) - 1|, the relative residual in logs."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(np.expm1(vals.min(axis=1) - lrho - lw))))
+        return float(np.max(np.abs(np.expm1(mins - lrho - lw))))
 
 
-def _newton_trial(m, gamma, z, lw, vals, layer, rows):
-    """(lw + delta, l, its sweep, its layer, its residual) from one solve of
+def _newton_trial(m, gamma, z, lw, sweep, rows):
+    """(lw + delta, l, its sweep, its residual) from one solve of
     (I - Q) delta + l 1 = T(lw) - lw with delta(z) = 0, Q the tilted kernel
     of the greedy rows; None for a singular system or a non-finite trial.
-    ``vals`` and ``layer`` are the :func:`_log_min_sweep` at lw: the greedy
-    rows are the argmin of vals, and their eta* is read from layer, so a
-    Newton step evaluates one entropic layer, the trial's sweep."""
-    idx = np.argmin(vals, axis=1)
+    ``sweep`` is the (mins, idx, layer) of the :func:`_log_min_sweep` at
+    lw: T(lw) is mins, the greedy rows are idx, and their eta* is read from
+    layer, so a Newton step evaluates one entropic layer, the trial's
+    sweep, and reduces no table of its own."""
+    mins, idx, layer = sweep
     a = np.eye(m.n_states) - _tilted_kernel(m, lw, idx, layer[rows.states, idx], rows)
     a[:, z] = 1.0  # delta(z) = 0 frees column z for l
     with np.errstate(invalid="ignore", over="ignore"):
         try:
-            step = np.linalg.solve(a, vals.min(axis=1) - lw)
+            step = np.linalg.solve(a, mins - lw)
         except np.linalg.LinAlgError:
             return None
         lrho = step[z]
@@ -142,8 +155,8 @@ def _newton_trial(m, gamma, z, lw, vals, layer, rows):
         trial = lw + step
     if not (np.isfinite(lrho) and np.all(np.isfinite(trial))):
         return None
-    tvals, tlayer = _log_min_sweep(m, gamma, trial, rows)
-    return trial, lrho, tvals, tlayer, _residual(tvals, lrho, trial)
+    tsweep = _log_min_sweep(m, gamma, trial, rows)
+    return trial, lrho, tsweep, _residual(tsweep[0], lrho, trial)
 
 
 def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
@@ -186,16 +199,16 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
     lw = anchor = np.zeros(m.n_states)
     # the sweep at the new lw gives both this iteration's residual and the
     # next iteration's update
-    vals, layer = _log_min_sweep(m, gamma, lw, rows)
+    sweep = _log_min_sweep(m, gamma, lw, rows)
     residual = np.inf
     safeguarded = 0
     for it in range(1, MAX_ITERS + 1):
-        trial = _newton_trial(m, gamma, z, lw, vals, layer, rows)
-        if trial is not None and trial[4] <= residual:  # a NaN residual fails
-            lw, lrho, vals, layer, residual = trial
+        trial = _newton_trial(m, gamma, z, lw, sweep, rows)
+        if trial is not None and trial[3] <= residual:  # a NaN residual fails
+            lw, lrho, sweep, residual = trial
         else:
             safeguarded += 1
-            ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + vals.min(axis=1))
+            ly = np.logaddexp(np.log1p(-lam) + lw, np.log(lam) + sweep[0])
             lrho_t = ly[z] - lw[z]
             lw = ly - ly[z]
             if not np.all(np.isfinite(lw)):  # a NaN residual would never stop the loop
@@ -203,8 +216,8 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
                     "ergodic RVI produced a non-finite iterate", np.nan, it)
             # undamped eigenvalue: rho = (rho_tilde - (1 - lam)) / lam, in logs
             lrho = lrho_t + np.log1p(-(1.0 - lam) * np.exp(-lrho_t)) - np.log(lam)
-            vals, layer = _log_min_sweep(m, gamma, lw, rows)
-            residual = _residual(vals, lrho, lw)
+            sweep = _log_min_sweep(m, gamma, lw, rows)
+            residual = _residual(sweep[0], lrho, lw)
         done, anchor = _rvi_stop("ergodic RVI", it, lw, anchor, residual, tol)
         if done:
             h = lw / gamma
@@ -212,7 +225,7 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
                 W, rho = np.exp(lw), float(np.exp(lrho))
             return ErgodicSolution(
                 xi=float(lrho / gamma), h=value_dict(m, h), W=value_dict(m, W),
-                policy=StationaryPolicy.from_indices(m, np.argmin(vals, axis=1)), rho=rho,
+                policy=StationaryPolicy.from_indices(m, sweep[1]), rho=rho,
                 iterations=it, residual=residual, safeguarded=safeguarded,
             )
     raise IterationLimitError(
@@ -223,8 +236,17 @@ def ergodic_rvi(m, gamma, tol=1e-11, reference_state=None):
 def rounding_floor(gamma, cost):
     """16 ulps of the largest exponent gamma * c over ``cost``: the sweep's
     log terms carry gamma * c, and their rounding floors the relative
-    residual, so no smaller tolerance can be met."""
-    return 16 * np.finfo(float).eps * (gamma * np.max(cost))
+    residual, so no smaller tolerance can be met.
+
+    Computed in Python floats.  A gamma that is not finite and > 0, or one
+    whose product with the largest cost overflows, is refused with
+    :class:`ParameterError` naming gamma, so the floor is always a finite
+    tolerance."""
+    UtilitySpec.entropic(gamma)  # a finite gamma > 0
+    top = float(gamma) * float(np.max(cost))
+    if not math.isfinite(top):
+        raise ParameterError(f"gamma={gamma} times the largest cost overflows double range")
+    return 16 * math.ulp(1.0) * top
 
 
 def ergodic_policy_value(m, policy, gamma):

@@ -25,7 +25,8 @@ Ties are always broken by the first admissible action in declared order
 solvers; the average-criterion iteration takes the first argmax or argmin of
 a table that reads -inf or +inf at inadmissible pairs).
 Value iteration and policy iteration set their sweeps up once per solve
-(:class:`~riskmdp.recursive.SweepRows`) and hand it to every sweep.
+(:class:`~riskmdp.recursive.SweepRows`), hand it to every sweep, and report
+through :func:`~riskmdp.recursive._report`, as the recursive solvers do.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from .mdp import (
     induced_chain,
     value_dict,
 )
-from .recursive import SweepRows, _check_tol, _greedy, _iterate
-from .report import SolveReport
+from .recursive import SweepRows, _check_tol, _greedy, _iterate, _report
 
 MAX_ITERS = 10**6   # backstop of both relative value iterations
 DAMPING = 0.5       # their self-loop mix; halving is exact in floating point
@@ -65,7 +65,7 @@ def bellman_T(m, v, rows=None):
     here when not given).  The product stays (S, A, S) @ v: the flattened
     (S*A, S) one rounds differently on some models."""
     rows = SweepRows(m) if rows is None else rows
-    return _greedy(m, m.reward + m.discount * (m.kernel @ np.asarray(v, dtype=float)), rows)
+    return _greedy(m.reward + m.discount * (m.kernel @ np.asarray(v, dtype=float)), rows)
 
 
 def value_iteration(m, tol=1e-9):
@@ -84,15 +84,7 @@ def value_iteration(m, tol=1e-9):
     m.require_valid()
     _check_tol(tol)  # checked here so the message names tol, not tol / 2
     rows = SweepRows(m)
-    v, idx, it, residual, bound = _iterate(m, lambda v: bellman_T(m, v, rows), tol / 2.0)
-    return SolveReport(
-        criterion="risk_neutral",
-        value=value_dict(m, v),
-        policy=dict(StationaryPolicy.from_indices(m, idx).choice),
-        iterations=it,
-        residual=residual,
-        error_bound=bound,
-    )
+    return _report(m, "risk_neutral", *_iterate(m, lambda v: bellman_T(m, v, rows), tol / 2.0))
 
 
 def _chain_value(P, r, beta):
@@ -123,18 +115,12 @@ def policy_iteration(m):
     for it in range(1, _MAX_ROUNDS + 1):
         v = _chain_value(m.kernel[states, idx], m.reward[states, idx], m.discount)
         q = m.reward + m.discount * (m.kernel @ v)
-        top, best = _greedy(m, q, rows)
+        top, best = _greedy(q, rows)
         improved = np.where(top <= q[states, idx] + _TIE_TOL, idx, best)
         if np.array_equal(improved, idx):
             residual = float(abs(top - v).max())
-            return SolveReport(
-                criterion="risk_neutral",
-                value=value_dict(m, v),
-                policy=dict(StationaryPolicy.from_indices(m, idx).choice),
-                iterations=it,
-                residual=residual,
-                error_bound=residual / max(1.0 - m.discount, 1e-300),
-            )
+            return _report(m, "risk_neutral", v, idx, it, residual,
+                           residual / max(1.0 - m.discount, 1e-300))
         idx = improved
     raise IterationLimitError("policy iteration did not settle", iterations=_MAX_ROUNDS)
 

@@ -74,9 +74,7 @@ class DiscreteDistribution:
             raise DistributionError(
                 f"probabilities sum to {probs.sum()!r}, expected 1 within {_MASS_TOL}"
             )
-        keep = probs > 0.0
-        if not keep.any():
-            raise DistributionError("support is empty (all probabilities zero)")
+        keep = probs > 0.0  # the mass check leaves at least one positive entry
         self.values = values[keep]
         self.probs = probs[keep]
 

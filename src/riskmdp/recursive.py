@@ -29,11 +29,13 @@ key changes, which in a value iteration happens a few times in all, and a
 sweep from them gives the same bits as one that rebuilds them.  Nothing is
 kept on the model.  The sweeps still go through their module names
 (:func:`recursive_bellman_L`, :func:`~riskmdp.neutral.bellman_T`), so a
-wrapper put there sees each one.  Every discounted solver and the entropic
-total recursion take their greedy step, the masked max and first argmax of
-an (S, A) action-value table, from :func:`_greedy`, and every solver takes
-its stopping tolerance through :func:`_check_tol`: one <= 0 or not finite is
-refused.
+wrapper put there sees each one.  Every discounted solver, the entropic
+total recursion and the ergodic log sweep (on the negated table) take their
+greedy step, the masked max and first argmax of an (S, A) action-value
+table, from :func:`_greedy`; the four discounted solvers, value and policy
+iteration of both criteria, build their report from its values and actions
+through :func:`_report`; and every solver takes its stopping tolerance
+through :func:`_check_tol`: one <= 0 or not finite is refused.
 
 The solver, :func:`policy_iteration_recursive`, is Newton's method on the
 same layer: the gradient of S_u at V is a row of risk-adjusted ("dual")
@@ -230,17 +232,26 @@ class SweepRows:
         return self._p, self._weights
 
 
-def _greedy(m, q, rows=None):
+def _greedy(q, rows):
     """max_a q(x, a) per state and the first maximizing action index in
     declared order, over an (S, A) action-value table; inadmissible actions
-    are masked out.  The greedy step of the discounted solvers and the
-    entropic total recursion; ``rows`` is the solve's :class:`SweepRows`
-    (built here when not given)."""
-    rows = SweepRows(m) if rows is None else rows
+    are masked out with -inf.  The greedy step of the discounted solvers,
+    the entropic total recursion and, on the negated table, the ergodic log
+    sweep; ``rows`` is the solve's :class:`SweepRows`."""
     if rows.inadmissible is not None:
         q = np.where(rows.inadmissible, -np.inf, q)
     idx = q.argmax(axis=1)
     return q[rows.states, idx], idx
+
+
+def _report(m, criterion, v, idx, iterations, residual, error_bound, **extras):
+    """The :class:`~riskmdp.report.SolveReport` of a solve that ends in the
+    values v and the greedy action index per state idx: the report of every
+    discounted solver, with its criterion's ``extras`` in the order given."""
+    return SolveReport(criterion=criterion, value=value_dict(m, v),
+                       policy=dict(StationaryPolicy.from_indices(m, idx).choice),
+                       iterations=iterations, residual=residual,
+                       error_bound=error_bound, extras=extras)
 
 
 def recursive_bellman_L(m, spec, v, rows=None):
@@ -307,17 +318,8 @@ def solve_recursive(m, spec, tol=1e-9):
     iteration: the verification path of :func:`policy_iteration_recursive`."""
     m.require_valid()
     rows = SweepRows(m)
-    v, idx, it, residual, bound = _iterate(
-        m, lambda v: recursive_bellman_L(m, spec, v, rows), tol)
-    return SolveReport(
-        criterion="recursive_oce",
-        value=value_dict(m, v),
-        policy=dict(StationaryPolicy.from_indices(m, idx).choice),
-        iterations=it,
-        residual=residual,
-        error_bound=bound,
-        extras={"utility": spec.to_json()},
-    )
+    return _report(m, "recursive_oce", *_iterate(
+        m, lambda v: recursive_bellman_L(m, spec, v, rows), tol), utility=spec.to_json())
 
 
 def _newton(m, spec, sweep, tol):
@@ -384,7 +386,7 @@ def _greedy_sweep(m, spec, v, rows=None):
     step masks them, as in :func:`successor_risk`."""
     rows = SweepRows(m) if rows is None else rows
     risk, eta = _successor_layer(m, spec, v, None, rows)
-    lv, idx = _greedy(m, m.reward + m.discount * _zero_inadmissible(risk, rows), rows)
+    lv, idx = _greedy(m.reward + m.discount * _zero_inadmissible(risk, rows), rows)
     return lv, idx, eta[rows.states, idx]
 
 
@@ -398,18 +400,9 @@ def policy_iteration_recursive(m, spec, tol=1e-9):
     Newton steps, and the report says how many were safeguarded.
     """
     m.require_valid()
-    v, idx, steps, residual, bound, safeguarded = _newton(
-        m, spec, lambda v, rows: _greedy_sweep(m, spec, v, rows), tol)
-    return SolveReport(
-        criterion="recursive_oce",
-        value=value_dict(m, v),
-        policy=dict(StationaryPolicy.from_indices(m, idx).choice),
-        iterations=steps,
-        residual=residual,
-        error_bound=bound,
-        extras={"utility": spec.to_json(), "method": "policy_iteration",
-                "safeguarded": safeguarded},
-    )
+    *solved, safeguarded = _newton(m, spec, lambda v, rows: _greedy_sweep(m, spec, v, rows), tol)
+    return _report(m, "recursive_oce", *solved, utility=spec.to_json(),
+                   method="policy_iteration", safeguarded=safeguarded)
 
 
 def entropic_fast_path(m, gamma, tol=1e-9):

@@ -681,3 +681,12 @@ class TestMonteCarloTotalOce:
         # -CVaR of the sampled rewards is the OCE the solve reports
         tol = sol.tail_error + sol.interp_error_estimate + 4.0 * est.std_error
         assert abs(sol.value - (-est.point)) <= tol
+
+
+@pytest.mark.parametrize("share", [0.51, 0.75, 1.0])
+def test_interp_estimate_refuses_a_coarse_step_past_the_range(jaquette, share):
+    # the step fits d/(1-beta) = 16, but the estimate's twice-as-coarse
+    # grid does not
+    grid = default_grid(jaquette, y_step=share * 16.0)
+    with pytest.raises(ParameterError, match="interpolation estimate at twice the step"):
+        solve_total_oce(jaquette, UtilitySpec.cvar(0.2), grid=grid, estimate_interp_error=True)

@@ -213,6 +213,33 @@ class TestSolve:
         assert proc.returncode == 3
         assert "non-finite iterate" in proc.stderr
 
+    def test_ergodic_floor_overflow_names_gamma(self, tmp_path):
+        # gamma times the largest cost of inventory_toy overflows: the run
+        # exits 4 naming gamma, with no NumPy warning and no tolerance the
+        # user never gave
+        path = tmp_path / "inventory_toy.json"
+        save(fixtures.inventory_toy(), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskmdp.cli", "solve", "--model", str(path),
+             "--criterion", "ergodic_entropic", "--gamma", "1e308"],
+            capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "error: gamma=1e+308 times the largest cost overflows double range\n"
+
+    @pytest.mark.parametrize("command, flag", [("solve", "--criterion"), ("compare", "--criteria")])
+    @pytest.mark.parametrize("beta", [-0.5, 1.0])
+    def test_grid_total_bad_discount_fails_validation(self, capsys, tmp_path, beta, command, flag):
+        # the grid is built from a validated model, so a discount outside
+        # [0, 1) exits 1 as in every other solve, not 4 from the grid
+        m = fixtures.jaquette()
+        m.discount = beta
+        path = tmp_path / "jaquette.json"
+        save(m, path)
+        code, out, err = run(capsys, [command, "--model", str(path), flag, "total_oce",
+                                      "--alpha", "0.2"])
+        assert (code, out) == (1, "")
+        assert "discount: must lie in [0, 1)" in err
+
     def test_ergodic_bad_tolerance_is_a_parameter_error(self, capsys, invariant_path):
         code, out, err = run(capsys, ["solve", "--model", invariant_path,
                                       "--criterion", "ergodic_entropic", "--gamma", "1.0",
@@ -617,6 +644,21 @@ def test_malformed_input_is_a_parameter_error(capsys, fixture_paths, argv):
     code, out, err = run(capsys, [argv[0], "--model", fixture_paths["invariant_model"], *argv[1:]])
     assert (code, out) == (4, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code, words", [
+    (["solve", "--config", "[1]"], 4, "--config must hold a JSON object"),
+    (["simulate", "--policy", "fixture:jaquette.x", "--reps", "200"], 4,
+     "unknown fixture policy"),
+    (["simulate", "--policy", "REPORT", "--reps", "200"], 2, "neither 'policy' nor"),
+], ids=["config list", "unknown fixture policy", "report without policy"])
+def test_refusal_exit_codes(capsys, tmp_path, model_path, argv, code, words):
+    report = tmp_path / "report.json"
+    report.write_text('{"value": {}}')
+    argv = [str(report) if a == "REPORT" else a for a in argv]
+    got, out, err = run(capsys, [argv[0], "--model", model_path, *argv[1:]])
+    assert (got, out) == (code, "")
+    assert words in err
 
 
 _PARAMS = st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-300, 1.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,44 @@ class TestNewtonSteps:
         assert (sol.safeguarded > 0) == (case in ("ring", "stand_in"))
         assert calls["_successor_layer"] == calls["_log_min_sweep"] > sol.iterations
 
+    def test_one_greedy_step_per_sweep(self, monkeypatch):
+        # a sweep's minima and minimizing actions come from one masked greedy
+        # step, and the Newton step, the residual, the damped fallback and
+        # the policy read them without reducing a table again
+        calls = {"_greedy": 0, "_log_min_sweep": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(ergodic, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ergodic, name, counted)
+        # the ring at gamma = 50 refuses some Newton steps
+        for m, gamma in ((cost_mdp(np.random.default_rng(11), n_states=6, n_actions=3), 1.0),
+                         (ring_mdp(np.random.default_rng(1)), 50.0)):
+            assert ergodic_rvi(m, gamma, tol=1e-10).iterations > 1
+        assert calls["_greedy"] == calls["_log_min_sweep"] > 0
+
+    @pytest.mark.parametrize("case", ["tie", "masked"])
+    def test_first_admissible_minimizer(self, case):
+        # at s0, a2 is a copy of a1; a0 is a1 at a higher cost ("tie") or
+        # inadmissible ("masked"), where its empty kernel row reads a layer
+        # of +inf, which unmasked would be the minimum
+        d = cost_mdp(np.random.default_rng(5), n_states=4, n_actions=3).to_dict()
+        for table in ("transitions", "rewards", "costs"):
+            d[table]["s0"]["a2"] = d[table]["s0"]["a1"]
+        d["costs"]["s0"]["a0"] = d["costs"]["s0"]["a1"] + 1.0
+        d["transitions"]["s0"]["a0"] = d["transitions"]["s0"]["a1"]
+        if case == "masked":
+            d["admissible"]["s0"] = ["a1", "a2"]
+            for table in ("transitions", "rewards", "costs"):
+                del d[table]["s0"]["a0"]
+        m = FiniteMdp.from_dict(d)
+        if case == "masked":
+            layer = ergodic._successor_layer(m, ergodic._TILT, np.zeros(m.n_states), None,
+                                             ergodic.SweepRows(m))[0]
+            assert layer[0, 0] == np.inf
+        for gamma in (0.5, 1.0, 20.0):
+            assert ergodic_rvi(m, gamma, tol=1e-10).policy.choice["s0"] == "a1"
+
     def test_singular_solve_falls_back_to_damped_steps(self, monkeypatch):
         m = cost_mdp(np.random.default_rng(12), n_states=6, n_actions=3)
         ref = ergodic_rvi(m, 1.0, tol=1e-12)
@@ -263,6 +302,21 @@ class TestPreconditions:
     def test_tolerance_must_be_positive(self, invariant_model, tol):
         with pytest.raises(ParameterError):
             ergodic_rvi(invariant_model, 1.0, tol=tol)
+
+    def test_rounding_floor_overflow_names_gamma(self):
+        # gamma times the largest cost overflows: the floor refuses gamma,
+        # with no overflow warning and no tolerance the caller never gave
+        m = random_mdp(np.random.default_rng(9), n_states=4, with_costs=True,
+                       reward_scale=10.0)
+        policy = first_admissible_policy(m)
+        assert m.cost[np.arange(m.n_states), policy.indices(m)].max() > 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: ergodic.rounding_floor(1e308, m.cost),
+                         lambda: ergodic_policy_value(m, policy, 1e308)):
+                with pytest.raises(ParameterError, match=r"gamma=1e\+308 times the largest cost"):
+                    call()
+        assert ergodic.rounding_floor(1e300, m.cost) == 16 * math.ulp(1.0) * (1e300 * m.cost.max())
 
     def test_unknown_reference_state(self, invariant_model):
         with pytest.raises(ParameterError, match="reference state"):

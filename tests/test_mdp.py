@@ -363,3 +363,11 @@ class TestPolicies:
         rng = np.random.default_rng(2)
         m = random_mdp(rng, n_states=3, n_actions=2)
         assert len(enumerate_policies(m)) == 8
+
+
+@pytest.mark.parametrize("field", ["states", "actions"])
+def test_duplicate_ids_refused(field):
+    obj = fixtures.jaquette().to_dict()
+    obj[field] = obj[field] + obj[field][:1]
+    with pytest.raises(ModelFormatError, match=f"duplicate {field[:-1]} ids"):
+        FiniteMdp.from_dict(obj)

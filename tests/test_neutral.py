@@ -309,3 +309,13 @@ class TestVanishingDiscount:
             for f, gain, per_beta in table.policy_diagnostics:
                 assert gain <= per_beta[0.999] + 0.01
                 assert gain == pytest.approx(policy_gain(m, f), abs=1e-10)
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda m: average_cost_rvi(m), "no cost table"),
+    (lambda m: policy_gain(m, enumerate_policies(m)[0], use_cost=True), "no cost table"),
+    (lambda m: vanishing_discount(m, [1.0]), r"every beta must lie in \[0, 1\)"),
+], ids=["average cost", "policy gain", "vanishing discount"])
+def test_refusals(call, words):
+    with pytest.raises(ParameterError, match=words):
+        call(random_mdp(np.random.default_rng(0)))

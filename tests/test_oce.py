@@ -10,6 +10,8 @@ from riskmdp.errors import DistributionError, ParameterError, UnsupportedUtility
 from riskmdp.oce import (
     DiscreteDistribution,
     UtilitySpec,
+    _oce_gradient,
+    _oce_weights,
     certainty_equivalent,
     cvar,
     entropic,
@@ -461,3 +463,24 @@ class TestLogSumExp:
         # ln(1 + e^-40) rounds to 0; acceptance criterion 07 (gamma = 1e-6)
         # needs the digits log1p keeps
         assert logsumexp(np.array([0.0, -40.0])) == math.log1p(math.exp(-40.0))
+
+
+_UNKNOWN = UtilitySpec(kind="foo")
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: UtilitySpec.piecewise_linear([(0.0, 0.0)]), ParameterError, "two points"),
+    (lambda: UtilitySpec.piecewise_linear([(-1.0, -1.0), (math.nan, 0.0)]), ParameterError,
+     "finite points"),
+    (lambda: UtilitySpec.piecewise_linear([(0.0, 0.0), (0.0, 1.0)]), ParameterError,
+     "strictly increasing"),
+    (lambda: UtilitySpec.from_json([1]), ParameterError, "JSON object"),
+    (lambda: _UNKNOWN.u(0.0), UnsupportedUtilityError, "'foo'"),
+    (lambda: _oce_weights(np.array([1.0]), _UNKNOWN), UnsupportedUtilityError, "'foo'"),
+    (lambda: _oce_gradient(np.array([1.0]), np.array([0.0]), _UNKNOWN, np.array(0.0)),
+     UnsupportedUtilityError, "'foo'"),
+], ids=["one point", "nan point", "equal breakpoints", "json list",
+        "u", "_oce_weights", "_oce_gradient"])
+def test_utility_refusals(call, error, words):
+    with pytest.raises(error, match=words):
+        call()

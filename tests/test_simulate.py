@@ -395,3 +395,14 @@ class TestErgodicEstimate:
         f = enumerate_policies(invariant_model)[0]
         rep = estimate_ergodic_entropic(invariant_model, f, 1e-6, 20000, 32, seed=2)
         assert rep.point == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda m: estimate(rollout(m, fixtures.jaquette_policy("f"), "1", 10, seed=0, reps=100),
+                        "median"), "unknown functional 'median'"),
+    (lambda m: estimate_ergodic_entropic(m, fixtures.jaquette_policy("f"), 1.0, 10, 100, 0),
+     "needs a cost table"),
+], ids=["unknown functional", "no cost table"])
+def test_estimator_refusals(call, words):
+    with pytest.raises(ParameterError, match=words):
+        call(fixtures.jaquette())
